@@ -24,10 +24,10 @@ import numpy as np
 from .config import RunConfig, build_run_config, parse_config_file, resolved_line
 from .energynet import EnergyNetDims, forward_batch, init_params, load_checkpoint, save_checkpoint
 from .errors import BoxEbmError, ConfigError, GenerationError, InputError, NumericError
-from .evalkit import GroundTruth, evaluate
-from .kittiio import from_box3d, parse_label_file, to_box3d, write_result_file
+from .evalkit import GroundTruth, ScoredBox, evaluate
+from .kittiio import DONT_CARE, from_box3d, parse_label_file, to_box3d, write_result_file
 from .nce import train
-from .refine import Detection, RefineConfig, refine_all
+from .refine import RefineConfig, refine_all
 from .synthscene import (
     FileScenes,
     gen_scene_by_index,
@@ -194,13 +194,22 @@ def _gts_and_initial_from_scenes(scenes: FileScenes):
     return gts, initial
 
 
+def _kitti_labels(path: Path):
+    """Parsed labels of one file, with a non-DontCare box of non-positive size an input error."""
+    labels = parse_label_file(path.read_text())
+    for n, lab in enumerate(labels, start=1):
+        if lab.type != DONT_CARE and not lab.is_evaluable:
+            raise InputError(f"{path}: label {n} has a non-positive dimension "
+                             f"(h={lab.h} w={lab.w} l={lab.l})")
+    return labels
+
+
 def _gts_from_kitti(label_dir: Path):
     gts = {}
     for path in sorted(Path(label_dir).glob("*.txt")):
-        labels = parse_label_file(path.read_text())
         entries = []
-        for lab in labels:
-            if not lab.is_evaluable:
+        for lab in _kitti_labels(path):
+            if lab.type == DONT_CARE:
                 continue
             entries.append(GroundTruth(
                 box=to_box3d(lab),
@@ -217,12 +226,11 @@ def _gts_from_kitti(label_dir: Path):
 def _dets_from_kitti(dets_dir: Path, expected_ids):
     dets = {}
     for path in sorted(Path(dets_dir).glob("*.txt")):
-        labels = parse_label_file(path.read_text())
         rows = []
-        for lab in labels:
+        for lab in _kitti_labels(path):
             if lab.score is None:
                 raise InputError(f"{path} has a detection without a score")
-            rows.append(Detection(box=to_box3d(lab), score=lab.score))
+            rows.append(ScoredBox(to_box3d(lab), lab.score))
         dets[int(path.stem)] = rows
     missing = sorted(set(expected_ids) - set(dets))
     extra = sorted(set(dets) - set(expected_ids))

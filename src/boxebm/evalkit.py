@@ -12,12 +12,14 @@ positions {1/40, ..., 1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box3D, bev_iou, iou_3d, to_bev
+from .geometry import Box3D, bev_iou, iou_3d, iou_matrix, to_bev
 
 RECALL_POSITIONS = np.arange(1, 41) / 40.0
 
@@ -66,6 +68,14 @@ class GroundTruth:
         return self.bbox_height >= min_h and self.occlusion <= max_occ and self.truncation <= max_trunc
 
 
+class ScoredBox(NamedTuple):
+    """A detection as evaluation sees it: AP depends only on the order of
+    scores, so any finite score is accepted."""
+
+    box: Box3D
+    score: float
+
+
 @dataclass(frozen=True)
 class APResult:
     ap: float
@@ -84,33 +94,34 @@ def iou_fn_for_mode(mode: str):
     raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def _match_from_matrix(scores: np.ndarray, iou: np.ndarray, threshold: float,
-                       valid: np.ndarray) -> np.ndarray:
-    """Labels per detection given an IoU matrix (D, G) and GT validity mask."""
-    d, g = iou.shape
-    labels = np.full(d, FP, dtype=int)
-    taken = np.zeros(g, dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    for di in order:
-        best_valid, best_valid_iou = -1, -1.0
-        best_ign, best_ign_iou = -1, -1.0
-        for gi in range(g):
-            if taken[gi]:
-                continue
-            v = iou[di, gi]
-            if v < threshold:
-                continue
-            if valid[gi]:
-                if v > best_valid_iou:
-                    best_valid, best_valid_iou = gi, v
-            elif v > best_ign_iou:
-                best_ign, best_ign_iou = gi, v
-        if best_valid >= 0:
-            labels[di] = TP
-            taken[best_valid] = True
-        elif best_ign >= 0:
-            labels[di] = IGNORED
-            taken[best_ign] = True
+def _match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndarray) -> np.ndarray:
+    """Labels (K, T, D) of one scene for T thresholds and K difficulties at once.
+
+    scores (D,) and iou (D, G) describe the scene; valid (K, G) says which
+    ground truths count at each difficulty. Detections go in descending
+    score order (ties by input order). Each claims the unclaimed ground
+    truth of highest IoU at or above the threshold (the lowest index among
+    equals): a valid one if there is any (TP), else an ignored one (IGNORED).
+    """
+    labels = np.full((len(valid), len(thresholds), len(scores)), FP, dtype=int)
+    taken = np.zeros((len(valid), len(thresholds), iou.shape[1]), dtype=bool)
+    thresholds = np.asarray(thresholds, dtype=float)[:, None]
+    valid = valid[:, None, :]
+    # a detection below every threshold on every ground truth stays FP
+    hits = (iou >= np.min(thresholds, initial=np.inf)).any(axis=1)
+    for di in np.argsort(-scores, kind="stable"):
+        if not hits[di]:
+            continue
+        row = iou[di]
+        open_ = (row >= thresholds) & ~taken
+        open_valid = open_ & valid
+        has_valid = open_valid.any(axis=-1)
+        pool = np.where(has_valid[..., None], open_valid, open_)
+        found = pool.any(axis=-1)
+        best = np.where(pool, row, -np.inf).argmax(axis=-1)
+        ks, ts = np.nonzero(found)
+        taken[ks, ts, best[ks, ts]] = True
+        labels[..., di] = np.where(has_valid, TP, np.where(found, IGNORED, FP))
     return labels
 
 
@@ -120,8 +131,8 @@ def match_greedy(dets, gts, iou_fn, threshold: float, difficulty: str | None = N
         return np.empty(0, dtype=int)
     scores = np.array([d.score for d in dets])
     iou = np.array([[iou_fn(d.box, gt.box) for gt in gts] for d in dets]).reshape(len(dets), len(gts))
-    valid = np.array([gt.passes(difficulty) for gt in gts], dtype=bool)
-    return _match_from_matrix(scores, iou, threshold, valid)
+    valid = np.array([[gt.passes(difficulty) for gt in gts]], dtype=bool)
+    return _match_scene(scores, iou, [threshold], valid)[0, 0]
 
 
 def average_precision(tp_flags, scores, num_gt: int, threshold: float = float("nan"),
@@ -145,12 +156,11 @@ def average_precision(tp_flags, scores, num_gt: int, threshold: float = float("n
         tp_cum, k = tp_cum[boundary], k[boundary]
     recalls = tp_cum / num_gt
     precisions = tp_cum / k
-    interp = np.zeros(len(RECALL_POSITIONS))
-    for i, r in enumerate(RECALL_POSITIONS):
-        ok = recalls >= r - 1e-12  # recall positions hit exactly up to rounding
-        if np.any(ok):
-            interp[i] = precisions[ok].max()
-    ap = float(interp.mean())
+    # interpolated precision at r: the best precision at any recall >= r
+    # (up to rounding); recall never decreases, so that is a suffix maximum
+    best_from = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+    interp = best_from[np.searchsorted(recalls, RECALL_POSITIONS - 1e-12, side="left")]
+    ap = math.fsum(interp.tolist()) / len(RECALL_POSITIONS)
     curve = list(zip(RECALL_POSITIONS.tolist(), interp.tolist()))
     return APResult(ap=ap, pr_curve=curve, threshold=threshold, mode=mode,
                     difficulty=difficulty, num_gt=num_gt)
@@ -160,42 +170,39 @@ def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=MODES,
              thresholds=(0.7, 0.75, 0.8, 0.85, 0.9), difficulties=("all",)) -> dict:
     """Pooled AP per (mode, threshold, difficulty) across aligned scenes.
 
+    Detections have `.box` and a finite `.score` (`ScoredBox`, `Detection`).
     Returns {(mode, threshold, difficulty): APResult}.
     """
     missing = sorted(set(dets_by_scene) - set(gts_by_scene))
     if missing:
         raise InputError(f"unknown scene ids in detections: {missing}")
-    scene_ids = sorted(gts_by_scene)
+    for mode in modes:
+        if mode not in MODES:
+            raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
+    scenes = []
+    for sid in sorted(gts_by_scene):
+        dets = dets_by_scene.get(sid, [])
+        gts = gts_by_scene[sid]
+        valid = np.array([[gt.passes(diff) for gt in gts] for diff in difficulties],
+                         dtype=bool).reshape(len(difficulties), len(gts))
+        scenes.append(([d.box for d in dets], np.array([d.score for d in dets], dtype=float),
+                       [gt.box for gt in gts], valid))
+    num_gt = sum((valid.sum(axis=1) for *_, valid in scenes), np.zeros(len(difficulties), dtype=int))
+    scores = np.concatenate([np.empty(0)] + [s for _, s, _, _ in scenes])
     results = {}
     for mode in modes:
-        iou_fn = iou_fn_for_mode(mode)
-        # IoU matrices are threshold/difficulty independent; compute once per mode
-        mats = {}
-        for sid in scene_ids:
-            dets = dets_by_scene.get(sid, [])
-            gts = gts_by_scene[sid]
-            scores = np.array([d.score for d in dets])
-            iou = np.array([[iou_fn(d.box, gt.box) for gt in gts] for d in dets])
-            mats[sid] = (scores, iou.reshape(len(dets), len(gts)))
-        for difficulty in difficulties:
-            for thr in thresholds:
-                pooled_scores = []
-                pooled_tp = []
-                num_gt = 0
-                for sid in scene_ids:
-                    gts = gts_by_scene[sid]
-                    valid = np.array([gt.passes(difficulty) for gt in gts], dtype=bool)
-                    num_gt += int(valid.sum())
-                    scores, iou = mats[sid]
-                    if len(scores) == 0:
-                        continue
-                    labels = _match_from_matrix(scores, iou, thr, valid)
-                    keep = labels != IGNORED
-                    pooled_scores.append(scores[keep])
-                    pooled_tp.append(labels[keep] == TP)
-                flat_scores = np.concatenate(pooled_scores) if pooled_scores else np.empty(0)
-                flat_tp = np.concatenate(pooled_tp) if pooled_tp else np.empty(0, dtype=bool)
+        # (K, T, pooled detections): scenes in id order, detections in input order
+        labels = np.concatenate(
+            [np.empty((len(difficulties), len(thresholds), 0), dtype=int)]
+            + [_match_scene(s, iou_matrix(dets, gts, mode), thresholds, valid)
+               for dets, s, gts, valid in scenes],
+            axis=-1,
+        )
+        for k, difficulty in enumerate(difficulties):
+            for t, thr in enumerate(thresholds):
+                keep = labels[k, t] != IGNORED
                 results[(mode, thr, difficulty)] = average_precision(
-                    flat_tp, flat_scores, num_gt, threshold=thr, mode=mode, difficulty=difficulty
+                    labels[k, t, keep] == TP, scores[keep], int(num_gt[k]),
+                    threshold=thr, mode=mode, difficulty=difficulty,
                 )
     return results

@@ -18,6 +18,8 @@ import numpy as np
 # below AREA_EPS count as empty. Keeps touching boxes stable.
 VERTEX_MERGE_EPS = 1e-9
 AREA_EPS = 1e-12
+# Relative slack of the far-pair test in `iou_matrix`.
+FAR_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,12 @@ def bev_corners(box: BoxBEV) -> ConvexPolygon:
 
 def polygon_area(vertices: np.ndarray) -> float:
     """Shoelace area (absolute value); 0 for fewer than 3 vertices."""
-    if len(vertices) < 3:
+    n = len(vertices)
+    if n < 3:
         return 0.0
     x, y = vertices[:, 0], vertices[:, 1]
-    return abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
+    nxt = np.arange(1, n + 1) % n  # index of each vertex's successor
+    return abs(float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))) / 2.0
 
 
 def _merge_close_vertices(poly: list) -> list:
@@ -158,10 +162,30 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(output)
 
 
-def _intersection_area_bev(a: BoxBEV, b: BoxBEV) -> float:
-    inter = clip_convex(bev_corners(a).vertices, bev_corners(b).vertices)
-    area = polygon_area(inter) if len(inter) else 0.0
-    return 0.0 if area < AREA_EPS else area
+def _solid(box: BoxBEV, bottom: float = 0.0, top: float = 1.0):
+    """What the pair routine needs of a box: BEV corners, bottom, top.
+
+    The BEV default spans unit height, so the heights and the overlap are
+    exactly 1.0 and every product with them is exact: the 3D formula then
+    gives the BEV IoU bit for bit.
+    """
+    return bev_corners(box).vertices, bottom, top
+
+
+def _iou_ordered(a, b) -> float:
+    """IoU of one canonically ordered pair of `_solid`s: the one clip and IoU formula."""
+    corners_a, bottom_a, top_a = a
+    corners_b, bottom_b, top_b = b
+    overlap = min(top_a, top_b) - max(bottom_a, bottom_b)
+    if overlap <= 0.0:
+        return 0.0
+    inter = polygon_area(clip_convex(corners_a, corners_b))
+    if inter < AREA_EPS:
+        return 0.0
+    inter *= overlap
+    vol_a = polygon_area(corners_a) * (top_a - bottom_a)
+    vol_b = polygon_area(corners_b) * (top_b - bottom_b)
+    return inter / (vol_a + vol_b - inter)
 
 
 def _ordered(a, b):
@@ -172,24 +196,55 @@ def _ordered(a, b):
 def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     """Oriented BEV intersection-over-union, in [0, 1]."""
     a, b = _ordered(a, b)
-    inter = _intersection_area_bev(a, b)
-    if inter == 0.0:
-        return 0.0
-    area_a = polygon_area(bev_corners(a).vertices)
-    area_b = polygon_area(bev_corners(b).vertices)
-    return inter / (area_a + area_b - inter)
+    return _iou_ordered(_solid(a), _solid(b))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D IoU: BEV intersection area times vertical overlap, over the union volume."""
     a, b = _ordered(a, b)
-    overlap = min(a.top, b.top) - max(a.bottom, b.bottom)
-    if overlap <= 0.0:
-        return 0.0
-    inter_bev = _intersection_area_bev(to_bev(a), to_bev(b))
-    if inter_bev == 0.0:
-        return 0.0
-    inter_vol = inter_bev * overlap
-    vol_a = polygon_area(bev_corners(to_bev(a)).vertices) * (a.top - a.bottom)
-    vol_b = polygon_area(bev_corners(to_bev(b)).vertices) * (b.top - b.bottom)
-    return inter_vol / (vol_a + vol_b - inter_vol)
+    return _iou_ordered(_solid(to_bev(a), a.bottom, a.top), _solid(to_bev(b), b.bottom, b.top))
+
+
+def _keyed_solid(box: Box3D, mode: str):
+    """A box's ordering key and solid as `iou_3d` (mode "3d") or `bev_iou` on
+    its BEV projection (mode "bev") sees them."""
+    bev = to_bev(box)
+    if mode == "3d":
+        return tuple(box.as_array()), _solid(bev, box.bottom, box.top)
+    return tuple(bev.as_array()), _solid(bev)
+
+
+def iou_matrix(a_boxes, b_boxes, mode: str) -> np.ndarray:
+    """(len(a_boxes), len(b_boxes)) matrix of `iou_3d(a, b)` (mode "3d") or
+    of `bev_iou(to_bev(a), to_bev(b))` (mode "bev"), equal bit for bit.
+
+    Pairs whose circumscribed circles are apart, or (3D) whose vertical
+    extents do not overlap, are 0 without clipping. The other pairs go
+    through the scalar pair routine in the scalar functions' canonical
+    order, with corners computed once per box. Boxes must be finite.
+    """
+    if mode not in ("3d", "bev"):
+        raise ValueError(f"unknown IoU mode {mode!r}")
+    out = np.zeros((len(a_boxes), len(b_boxes)))
+    if out.size == 0:
+        return out
+    a = np.array([box.as_array() for box in a_boxes])
+    b = np.array([box.as_array() for box in b_boxes])
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    # a box lies inside the circle of radius hypot(w, l) / 2 about its center
+    reach = np.hypot(a[:, 4], a[:, 5])[:, None] / 2.0 + np.hypot(b[:, 4], b[:, 5])[None, :] / 2.0
+    # slack far above the rounding of corners at these center magnitudes
+    magnitude = (np.abs(a[:, 0]) + np.abs(a[:, 1]))[:, None] + (np.abs(b[:, 0]) + np.abs(b[:, 1]))[None, :]
+    near = dx * dx + dy * dy <= (reach + FAR_SLACK * (reach + magnitude)) ** 2
+    if mode == "3d":
+        bottom_a, top_a = a[:, 2] - a[:, 3] / 2.0, a[:, 2] + a[:, 3] / 2.0
+        bottom_b, top_b = b[:, 2] - b[:, 3] / 2.0, b[:, 2] + b[:, 3] / 2.0
+        near &= np.minimum(top_a[:, None], top_b[None, :]) - np.maximum(bottom_a[:, None], bottom_b[None, :]) > 0.0
+    rows, cols = np.nonzero(near)
+    solids_a = {i: _keyed_solid(a_boxes[i], mode) for i in set(rows.tolist())}
+    solids_b = {j: _keyed_solid(b_boxes[j], mode) for j in set(cols.tolist())}
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        (key_a, solid_a), (key_b, solid_b) = solids_a[i], solids_b[j]
+        out[i, j] = _iou_ordered(solid_a, solid_b) if key_a <= key_b else _iou_ordered(solid_b, solid_a)
+    return out

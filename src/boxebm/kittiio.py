@@ -75,6 +75,8 @@ def parse_label_file(text: str) -> list[KittiLabel]:
             nums = [float(t) for t in tokens[1:]]
         except ValueError as exc:
             raise ParseError(f"unparsable number: {exc}", line=lineno) from None
+        if not all(map(math.isfinite, nums)):
+            raise ParseError("non-finite number", line=lineno)
         if nums[5] < nums[3] or nums[6] < nums[4]:
             raise ParseError("2D bbox has right < left or bottom < top", line=lineno)
         labels.append(KittiLabel(

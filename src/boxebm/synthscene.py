@@ -258,6 +258,13 @@ def save_scene(scene: Scene, path):
             f.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
 
 
+def _finite_row(raw: bytes, count: int, offset: int) -> np.ndarray:
+    row = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    if not np.isfinite(row).all():
+        raise ValueError(f"non-finite values {row.tolist()}")
+    return row
+
+
 def load_scene(path) -> Scene:
     with open(path, "rb") as f:
         raw = f.read()
@@ -274,23 +281,25 @@ def load_scene(path) -> Scene:
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(w, length, c).copy()
     pos += 8 * count
     grid = FeatureGrid(data, origin_x=ox, origin_y=oy, res=res)
-    gts = []
-    for _ in range(n_gts):
-        box = Box3D.from_array(np.frombuffer(raw, dtype="<f8", count=7, offset=pos))
-        pos += 56
-        (has_meta,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        bh, occ, trunc = struct.unpack_from("<ddd", raw, pos)
-        pos += 24
-        if has_meta:
-            gts.append(GroundTruth(box=box, bbox_height=bh, occlusion=int(occ), truncation=trunc))
-        else:
-            gts.append(GroundTruth(box=box))
-    dets = []
-    for _ in range(n_dets):
-        row = np.frombuffer(raw, dtype="<f8", count=8, offset=pos)
-        pos += 64
-        dets.append(Detection(box=Box3D.from_array(row[:7]), score=float(row[7])))
+    gts, dets = [], []
+    try:  # non-finite values, non-positive sizes and bad scores are input errors
+        for _ in range(n_gts):
+            box = Box3D.from_array(_finite_row(raw, 7, pos))
+            pos += 56
+            (has_meta,) = struct.unpack_from("<B", raw, pos)
+            pos += 1
+            bh, occ, trunc = struct.unpack_from("<ddd", raw, pos)
+            pos += 24
+            if has_meta:
+                gts.append(GroundTruth(box=box, bbox_height=bh, occlusion=int(occ), truncation=trunc))
+            else:
+                gts.append(GroundTruth(box=box))
+        for _ in range(n_dets):
+            row = _finite_row(raw, 8, pos)
+            pos += 64
+            dets.append(Detection(box=Box3D.from_array(row[:7]), score=float(row[7])))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return Scene(id=scene_id, grid=grid, gts=gts, initial_dets=dets)
 
 

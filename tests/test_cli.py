@@ -293,6 +293,80 @@ class TestSweepAndScan:
         assert "error:input:" in capsys.readouterr().err
 
 
+# KITTI label line: type truncated occluded alpha bbox(4) h w l x y z rotation_y
+KITTI_CAR = "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
+
+
+class TestEvalKittiInputs:
+    """`eval --kitti-gt --dets` ends bad inputs in `error:input:` and takes any finite score."""
+
+    def eval_kitti(self, tmp_path, gt_line, det_line, out="out"):
+        for name, line in (("gt", gt_line), ("dets", det_line)):
+            (tmp_path / name).mkdir(exist_ok=True)
+            (tmp_path / name / "000000.txt").write_text(line + "\n")
+        return run(["eval", "--kitti-gt", str(tmp_path / "gt"), "--dets", str(tmp_path / "dets"),
+                    "--out", str(tmp_path / out)])
+
+    @staticmethod
+    def field(line, index, value):
+        tokens = line.split()
+        tokens[index] = value
+        return " ".join(tokens)
+
+    @pytest.mark.parametrize("where,index,value", [
+        ("gt", 2, "nan"),  # occlusion
+        ("gt", 12, "inf"),  # y
+        ("dets", 11, "nan"),  # x
+        ("dets", 15, "nan"),  # score
+        ("dets", 15, "-inf"),
+    ])
+    def test_non_finite_field(self, tmp_path, capsys, where, index, value):
+        gt, det = KITTI_CAR, KITTI_CAR + " 0.5"
+        if where == "gt":
+            gt = self.field(gt, index, value)
+        else:
+            det = self.field(det, index, value)
+        assert self.eval_kitti(tmp_path, gt, det) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and "non-finite" in err
+
+    @pytest.mark.parametrize("where,index,value", [
+        ("gt", 9, "0"), ("gt", 8, "-1.67"), ("dets", 10, "-3.64"), ("dets", 8, "0"),
+    ])
+    def test_non_positive_dimension(self, tmp_path, capsys, where, index, value):
+        gt, det = KITTI_CAR, KITTI_CAR + " 0.5"
+        if where == "gt":
+            gt = self.field(gt, index, value)
+        else:
+            det = self.field(det, index, value)
+        assert self.eval_kitti(tmp_path, gt, det) == 1
+        assert capsys.readouterr().err.startswith("error:input:")
+
+    @pytest.mark.parametrize("score", ["1.000000", "-3.5", "250"])
+    def test_any_finite_score(self, tmp_path, score):
+        assert self.eval_kitti(tmp_path, KITTI_CAR, KITTI_CAR + " 0.5", out="ref") == 0
+        assert self.eval_kitti(tmp_path, KITTI_CAR, KITTI_CAR + " " + score) == 0
+        assert (tmp_path / "out" / "ap.csv").read_bytes() == (tmp_path / "ref" / "ap.csv").read_bytes()
+        _, rows = read_csv(tmp_path / "out" / "ap.csv")
+        assert all(float(r[4]) == 1.0 for r in rows)
+
+    def test_scene_file_non_positive_dimension(self, tmp_path, capsys):
+        import struct
+
+        from boxebm.synthscene import read_manifest
+
+        data = tmp_path / "data"
+        assert run(["synth-gen", *TINY, "--out", str(data)]) == 0
+        entry = next(e for e in read_manifest(data) if e.split == "val")
+        path = data / entry.filename
+        raw = bytearray(path.read_bytes())
+        w, length, c = struct.unpack_from("<III", raw, 16)
+        struct.pack_into("<d", raw, 60 + 8 * w * length * c + 8 * 3, -1.0)  # first GT's h
+        path.write_bytes(bytes(raw))
+        assert run(["eval", *TINY, "--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:input:")
+
+
 class TestErrorReporting:
     def test_missing_required_flag(self, capsys):
         assert run(["train", "--out", "/tmp/nowhere_out"]) == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxebm.errors import InputError
@@ -9,12 +9,14 @@ from boxebm.evalkit import (
     IGNORED,
     TP,
     APResult,
+    DIFFICULTY_GATES,
     GroundTruth,
     average_precision,
     evaluate,
     iou_fn_for_mode,
     match_greedy,
 )
+from boxebm.evalkit import _match_scene
 from boxebm.geometry import Box3D, iou_3d
 from boxebm.refine import Detection
 
@@ -70,6 +72,87 @@ class TestMatchGreedy:
         assert labels.tolist() == [TP, FP]
 
 
+def reference_match(scores, iou, threshold, valid):
+    """The per-threshold double loop the matching kernel replaced, kept as an oracle."""
+    d, g = iou.shape
+    labels = np.full(d, FP, dtype=int)
+    taken = np.zeros(g, dtype=bool)
+    for di in np.argsort(-scores, kind="stable"):
+        best_valid, best_valid_iou = -1, -1.0
+        best_ign, best_ign_iou = -1, -1.0
+        for gi in range(g):
+            if taken[gi]:
+                continue
+            v = iou[di, gi]
+            if v < threshold:
+                continue
+            if valid[gi]:
+                if v > best_valid_iou:
+                    best_valid, best_valid_iou = gi, v
+            elif v > best_ign_iou:
+                best_ign, best_ign_iou = gi, v
+        if best_valid >= 0:
+            labels[di] = TP
+            taken[best_valid] = True
+        elif best_ign >= 0:
+            labels[di] = IGNORED
+            taken[best_ign] = True
+    return labels
+
+
+class TestMatchKernel:
+    THRESHOLDS = (0.0, 0.25, 0.5, 0.7, 0.75, 0.9, 1.0)
+
+    def test_matches_reference_loop(self, rng):
+        for _ in range(300):
+            d, g, k = int(rng.integers(0, 9)), int(rng.integers(0, 7)), int(rng.integers(1, 4))
+            # IoUs from a small lattice that holds every threshold, so ties in
+            # IoU and values exactly at a threshold are common
+            iou = rng.choice([0.0, 0.25, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0], size=(d, g))
+            iou[rng.random((d, g)) < 0.2] = rng.uniform(0, 1)
+            scores = rng.choice([0.2, 0.4, 0.6, 0.8], size=d)  # tied scores too
+            valid = rng.random((k, g)) < 0.6
+            labels = _match_scene(scores, iou, self.THRESHOLDS, valid)
+            assert labels.shape == (k, len(self.THRESHOLDS), d)
+            for ki in range(k):
+                for ti, thr in enumerate(self.THRESHOLDS):
+                    expect = reference_match(scores, iou, thr, valid[ki])
+                    assert labels[ki, ti].tolist() == expect.tolist()
+
+    def test_evaluate_matches_reference_loop(self, rng):
+        diffs = tuple(DIFFICULTY_GATES)
+        gts, dets = {}, {}
+        for sid in range(6):
+            gts[sid] = [GroundTruth(box=car_at(4.0 * i, 0, yaw=float(rng.uniform(-0.2, 0.2))),
+                                    bbox_height=float(rng.choice([20.0, 30.0, 60.0])),
+                                    occlusion=int(rng.integers(0, 4)),
+                                    truncation=float(rng.choice([0.1, 0.2, 0.4, 0.6])))
+                        for i in range(int(rng.integers(0, 5)))]
+            dets[sid] = [det_at(4.0 * rng.integers(0, 5) + rng.normal(0, 0.2), rng.normal(0, 0.2),
+                                float(rng.choice([0.3, 0.5, 0.7, 0.9])))
+                         for _ in range(int(rng.integers(0, 7)))]
+        gts[0].append(GroundTruth(box=car_at(20.0, 0), bbox_height=60.0, occlusion=0, truncation=0.0))
+        thresholds = (0.5, 0.7)
+        out = evaluate(dets, gts, modes=("3d", "bev"), thresholds=thresholds, difficulties=diffs)
+        for mode in ("3d", "bev"):
+            iou_fn = iou_fn_for_mode(mode)
+            for diff in diffs:
+                for thr in thresholds:
+                    flags, scores, num_gt = [], [], 0
+                    for sid in sorted(gts):
+                        valid = np.array([gt.passes(diff) for gt in gts[sid]], dtype=bool)
+                        num_gt += int(valid.sum())
+                        s = np.array([d.score for d in dets[sid]])
+                        iou = np.array([[iou_fn(d.box, gt.box) for gt in gts[sid]]
+                                        for d in dets[sid]]).reshape(len(s), len(valid))
+                        labels = reference_match(s, iou, thr, valid)
+                        flags += (labels[labels != IGNORED] == TP).tolist()
+                        scores += s[labels != IGNORED].tolist()
+                    expect = average_precision(flags, scores, num_gt)
+                    assert out[(mode, thr, diff)].pr_curve == expect.pr_curve
+                    assert out[(mode, thr, diff)].ap == expect.ap
+
+
 class TestAveragePrecision:
     def test_hand_example(self):
         # 2 GTs, [TP(.9), FP(.8), TP(.7)] -> precision 1.0 up to r=.5, 2/3 after
@@ -114,8 +197,24 @@ class TestApProperties:
     def test_monotone_score_transform_invariance(self, inst, a, b):
         flags, scores, num_gt = inst
         base = average_precision(flags, scores, num_gt).ap
-        transformed = [a * s + b for s in scores]  # strictly increasing
+        transformed = [a * s + b for s in scores]
+        # increasing in exact arithmetic, but rounding can tie two close scores
+        assume(all((si < sj) == (ti < tj) and (si == sj) == (ti == tj)
+                   for si, ti in zip(scores, transformed) for sj, tj in zip(scores, transformed)))
         assert average_precision(flags, transformed, num_gt).ap == base
+
+    @given(pooled_instance())
+    @settings(max_examples=60, deadline=None)
+    def test_curve_matches_reference_loop(self, inst):
+        flags, scores, num_gt = inst
+        order = np.argsort(-np.array(scores), kind="stable")
+        s = np.array(scores)[order]
+        last = np.append(s[:-1] != s[1:], True)  # operating points end tie groups
+        tp_cum = np.cumsum(np.array(flags)[order])[last]
+        recalls, precisions = tp_cum / num_gt, tp_cum / np.arange(1, len(s) + 1)[last]
+        expect = [precisions[recalls >= r - 1e-12].max() if np.any(recalls >= r - 1e-12) else 0.0
+                  for r in np.arange(1, 41) / 40.0]
+        assert [p for _, p in average_precision(flags, scores, num_gt).pr_curve] == expect
 
     @given(pooled_instance())
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxebm.geometry import Box3D, BoxBEV, bev_corners, bev_iou, iou_3d, polygon_area, to_bev
+from boxebm.geometry import Box3D, BoxBEV, bev_corners, bev_iou, iou_3d, iou_matrix, polygon_area, to_bev
 from helpers import aligned_bev_iou, mc_bev_iou, random_bev_box
 
 
@@ -163,6 +163,72 @@ class TestIou3d:
     def test_two_pi_invariance(self, a):
         b = Box3D(a.cx, a.cy, a.cz, a.h, a.w, a.l, a.yaw + 2 * math.pi)
         assert iou_3d(a, b) == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def related_box(draw, a: Box3D) -> Box3D:
+    """A box in one of the relations to `a` that stress the far-pair test and the clip."""
+    kind = draw(st.sampled_from(["random", "identical", "two_pi", "edge", "circle", "corner", "stacked"]))
+    if kind == "random":
+        return draw(box3d_st)
+    if kind == "identical":
+        return a
+    if kind == "two_pi":
+        return Box3D(a.cx, a.cy, a.cz, a.h, a.w, a.l, a.yaw + 2 * math.pi)
+    if kind == "stacked":  # zero vertical overlap: b's bottom is a's top
+        h = draw(st.floats(0.2, 3))
+        return Box3D(a.cx, a.cy, a.top + h / 2.0, h, a.w, a.l, a.yaw)
+    if kind == "edge":  # same heading and width, sharing the front edge
+        l = draw(st.floats(0.2, 6))
+        d = (a.l + l) / 2.0
+        return Box3D(a.cx + d * math.cos(a.yaw), a.cy + d * math.sin(a.yaw), a.cz, a.h, a.w, l, a.yaw)
+    # circumscribed circles just apart, touching or just overlapping; for
+    # "corner" the two boxes point a corner at each other along the center
+    # line, so they overlap exactly when the circles do
+    b = draw(box3d_st)
+    factor = draw(st.sampled_from([1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6]))
+    ang, yaw = draw(st.floats(-math.pi, math.pi)), b.yaw
+    if kind == "corner":
+        ang = a.yaw + math.atan2(a.w, a.l)
+        yaw = ang + math.pi - math.atan2(b.w, b.l)
+    d = (math.hypot(a.w, a.l) + math.hypot(b.w, b.l)) / 2.0 * factor
+    return Box3D(a.cx + d * math.cos(ang), a.cy + d * math.sin(ang), b.cz, b.h, b.w, b.l, yaw)
+
+
+@st.composite
+def box_lists(draw):
+    a_boxes = draw(st.lists(box3d_st, min_size=1, max_size=5))
+    b_boxes = [draw(related_box(draw(st.sampled_from(a_boxes)))) for _ in range(draw(st.integers(1, 6)))]
+    return a_boxes, b_boxes
+
+
+class TestIouMatrix:
+    @given(box_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_scalar(self, lists):
+        a_boxes, b_boxes = lists
+        scalar = {
+            "3d": [[iou_3d(a, b) for b in b_boxes] for a in a_boxes],
+            "bev": [[bev_iou(to_bev(a), to_bev(b)) for b in b_boxes] for a in a_boxes],
+        }
+        for mode, expect in scalar.items():
+            got = iou_matrix(a_boxes, b_boxes, mode)
+            assert got.shape == (len(a_boxes), len(b_boxes))
+            assert got.tobytes() == np.array(expect).tobytes(), mode
+
+    def test_far_and_stacked_pairs_are_zero(self):
+        a = Box3D(0, 0, 1.0, 2.0, 1.7, 4.0, 0.3)
+        far = Box3D(30, 0, 1.0, 2.0, 1.7, 4.0, 0.3)
+        above = Box3D(0, 0, 3.0, 2.0, 1.7, 4.0, 0.3)  # bottom 2.0 == a's top
+        assert iou_matrix([a], [a, far, above], "3d").tolist() == [[1.0, 0.0, 0.0]]
+        assert iou_matrix([a], [a, far, above], "bev").tolist() == [[1.0, 0.0, 1.0]]
+
+    def test_empty_and_unknown_mode(self):
+        a = Box3D(0, 0, 0.8, 1.6, 1.7, 4.0, 0.3)
+        assert iou_matrix([], [a], "3d").shape == (0, 1)
+        assert iou_matrix([a], [], "bev").shape == (1, 0)
+        with pytest.raises(ValueError):
+            iou_matrix([a], [a], "2d")
 
 
 def test_invalid_dimensions_rejected():

@@ -76,6 +76,11 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_label_file(DEVKIT_LINE.replace("46.70", "forty") + "\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_number(self, token):
+        with pytest.raises(ParseError, match="line 1: non-finite"):
+            parse_label_file(DEVKIT_LINE.replace(" 0 ", f" {token} ", 1) + "\n")
+
     def test_sixteen_fields_gives_score(self):
         labels = parse_label_file(DEVKIT_LINE + " 0.875000\n")
         assert labels[0].score == 0.875
