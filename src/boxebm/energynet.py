@@ -69,15 +69,20 @@ class EnergyNetParams:
         return np.concatenate([a.ravel() for _, a in self.named_tensors()])
 
     def from_vector(self, vec: np.ndarray) -> "EnergyNetParams":
-        out = init_params(0, self.dims)
         pos = 0
-        for (_, dst), (_, src) in zip(out.named_tensors(), self.named_tensors()):
-            n = src.size
-            dst[...] = vec[pos:pos + n].reshape(src.shape)
-            pos += n
+
+        def take(like: np.ndarray) -> np.ndarray:
+            nonlocal pos
+            out = np.array(vec[pos:pos + like.size], dtype=float).reshape(like.shape)
+            pos += like.size
+            return out
+
+        # in `named_tensors` order: groups, layers, then W before b
+        groups = [[DenseLayer(W=take(layer.W), b=take(layer.b)) for layer in layers]
+                  for layers in (self.enc_cz, self.enc_h, self.head)]
         if pos != vec.size:
             raise ConfigError(f"parameter vector has {vec.size} entries, expected {pos}")
-        return out
+        return EnergyNetParams(self.dims, *groups)
 
     @property
     def n_params(self) -> int:
@@ -119,7 +124,7 @@ def init_params(seed: int, dims: EnergyNetDims) -> EnergyNetParams:
 
 
 def _check_finite(arr: np.ndarray, where: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("non-finite activation", where=where)
 
 
@@ -168,36 +173,43 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     return values, cache
 
 
-def _head_backward(params, cache, delta: np.ndarray):
+def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_params: bool = True):
     """Backprop the head with per-row output weights delta (B,). Returns
-    (dh5 (B, n5), head param grads in layer order)."""
+    (dh5 (B, n5 - first_input), head param grads in layer order, or None
+    without `with_params`): dh5 is the gradient w.r.t. the head inputs
+    from column `first_input` on."""
     w1, w2, w3 = params.head
     a1, a2, z1, z2, h5 = cache["a1"], cache["a2"], cache["z1"], cache["z2"], cache["h5"]
     d3 = delta  # (B,)
-    dW3 = (d3 @ a2)[None, :]
-    db3 = np.array([d3.sum()])
     da2 = d3[:, None] * w3.W[0][None, :]
     dz2 = da2 * (z2 > 0.0)
-    dW2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
     da1 = dz2 @ w2.W
     dz1 = da1 * (z1 > 0.0)
+    dh5 = dz1 @ w1.W[:, first_input:]
+    if not with_params:
+        return dh5, None
+    dW3 = (d3 @ a2)[None, :]
+    db3 = np.array([d3.sum()])
+    dW2 = dz2.T @ a1
+    db2 = dz2.sum(axis=0)
     dW1 = dz1.T @ h5
     db1 = dz1.sum(axis=0)
-    dh5 = dz1 @ w1.W
     return dh5, [(dW1, db1), (dW2, db2), (dW3, db3)]
 
 
-def _enc_backward(layers, cache_z1, cache_a1, cache_z2, x: np.ndarray, dout: np.ndarray):
-    """Backprop one scalar encoder. Returns (dx (B,), param grads)."""
+def _enc_backward(layers, cache_z1, cache_a1, cache_z2, x: np.ndarray, dout: np.ndarray,
+                  with_params: bool = True):
+    """Backprop one scalar encoder. Returns (dx (B,), param grads or None)."""
     dz2 = dout * (cache_z2 > 0.0)
-    dW2 = dz2.T @ cache_a1
-    db2 = dz2.sum(axis=0)
     da1 = dz2 @ layers[1].W
     dz1 = da1 * (cache_z1 > 0.0)
+    dx = dz1 @ layers[0].W[:, 0]
+    if not with_params:
+        return dx, None
+    dW2 = dz2.T @ cache_a1
+    db2 = dz2.sum(axis=0)
     dW1 = (dz1 * x[:, None]).sum(axis=0)[:, None]
     db1 = dz1.sum(axis=0)
-    dx = dz1 @ layers[0].W[:, 0]
     return dx, [(dW1, db1), (dW2, db2)]
 
 
@@ -205,7 +217,7 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
     """Energies (B,) and gradients (B, 7) w.r.t. each box's coordinates."""
     values, cache = forward_batch(params, grid, boxes, cfg, with_box_jac=True)
     b = len(values)
-    dh5, _ = _head_backward(params, cache, np.ones(b))
+    dh5, _ = _head_backward(params, cache, np.ones(b), with_params=False)
     n4 = params.dims.feat_len
     e = params.dims.enc_dim
     grad = np.zeros((b, 7))
@@ -213,22 +225,23 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
     bev = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
     grad[:, _BEV_COLS] = bev
     grad[:, 2], _ = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                                  cache["boxes"][:, 2], dh5[:, n4:n4 + e])
+                                  cache["boxes"][:, 2], dh5[:, n4:n4 + e], with_params=False)
     grad[:, 3], _ = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                                  cache["boxes"][:, 3], dh5[:, n4 + e:])
+                                  cache["boxes"][:, 3], dh5[:, n4 + e:], with_params=False)
     _check_finite(grad, "box gradient")
     return values, grad
 
 
 def weighted_param_grad(params: EnergyNetParams, cache: dict, coeffs: np.ndarray) -> np.ndarray:
     """sum_b coeffs[b] * d f(box_b) / d theta, flat in checkpoint order."""
-    n4 = params.dims.feat_len
     e = params.dims.enc_dim
-    dh5, head_grads = _head_backward(params, cache, np.asarray(coeffs, dtype=float))
+    # only the encoder inputs of the head lead to parameters
+    denc, head_grads = _head_backward(params, cache, np.asarray(coeffs, dtype=float),
+                                      first_input=params.dims.feat_len)
     _, cz_grads = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                                cache["boxes"][:, 2], dh5[:, n4:n4 + e])
+                                cache["boxes"][:, 2], denc[:, :e])
     _, h_grads = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                               cache["boxes"][:, 3], dh5[:, n4 + e:])
+                               cache["boxes"][:, 3], denc[:, e:])
     parts = []
     for dw, db in (*cz_grads, *h_grads, *head_grads):
         parts.append(dw.ravel())

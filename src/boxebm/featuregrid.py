@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Query points per pass of `bilinear_many`: small enough that the four corner
+# arrays of a pass stay in cache.
+QUERY_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class FeatureGrid:
@@ -58,7 +62,8 @@ def grid_to_world(grid: FeatureGrid, q) -> np.ndarray:
 
 def _corner_values(grid: FeatureGrid, q: np.ndarray):
     """Zero-padded values at the four cells around each query, plus fractions."""
-    w, length, _ = grid.data.shape
+    w, length, c = grid.data.shape
+    flat = grid.data.reshape(w * length, c)
     gx, gy = q[:, 0], q[:, 1]
     ix = np.floor(gx)
     iy = np.floor(gy)
@@ -66,12 +71,17 @@ def _corner_values(grid: FeatureGrid, q: np.ndarray):
     ty = gy - iy
     ix = ix.astype(np.int64)
     iy = iy.astype(np.int64)
+    if len(q) and ix.min() >= 0 and ix.max() < w - 1 and iy.min() >= 0 and iy.max() < length - 1:
+        # every corner is inside the grid: plain row gathers, no padding
+        at = ix * length + iy
+        corners = [flat.take(at + offset, axis=0) for offset in (0, length, 1, length + 1)]
+        return (*corners, tx[:, None], ty[:, None])
 
     def fetch(di, dj):
         cx = ix + di
         cy = iy + dj
         valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < length)
-        vals = grid.data[np.clip(cx, 0, w - 1), np.clip(cy, 0, length - 1)]
+        vals = flat.take(np.clip(cx, 0, w - 1) * length + np.clip(cy, 0, length - 1), axis=0)
         return vals * valid[:, None]
 
     return fetch(0, 0), fetch(1, 0), fetch(0, 1), fetch(1, 1), tx[:, None], ty[:, None]
@@ -83,8 +93,23 @@ def _interp(v00, v10, v01, v11, tx, ty):
 
 def bilinear_many(grid: FeatureGrid, q: np.ndarray) -> np.ndarray:
     """Bilinear interpolation at continuous grid coordinates q (N, 2) -> (N, C)."""
-    v00, v10, v01, v11, tx, ty = _corner_values(grid, np.asarray(q, dtype=float))
-    return _interp(v00, v10, v01, v11, tx, ty)
+    q = np.asarray(q, dtype=float)
+    out = np.empty((len(q), grid.channels))
+    for start in range(0, len(q), QUERY_CHUNK):
+        v00, v10, v01, v11, tx, ty = _corner_values(grid, q[start:start + QUERY_CHUNK])
+        # `_interp` in place on the fresh corner arrays: the same products
+        # and sums in the same order, without the temporaries
+        sy = 1 - ty
+        v00 *= sy
+        v01 *= ty
+        v00 += v01
+        v10 *= sy
+        v11 *= ty
+        v10 += v11
+        v00 *= 1 - tx
+        v10 *= tx
+        np.add(v00, v10, out=out[start:start + QUERY_CHUNK])
+    return out
 
 
 def bilinear_grad_many(grid: FeatureGrid, q: np.ndarray):

@@ -3,6 +3,7 @@ import pytest
 
 from boxebm.errors import ConfigError
 from boxebm.featuregrid import (
+    QUERY_CHUNK,
     FeatureGrid,
     bilinear,
     bilinear_grad,
@@ -64,6 +65,31 @@ class TestBilinear:
             val, jac = bilinear_grad(g, q)
             assert np.array_equal(val, np.zeros(g.channels))
             assert np.array_equal(jac, np.zeros((g.channels, 2)))
+
+    def test_many_equals_pointwise_formula_across_chunks(self, rng):
+        # passes whose cells all lie inside the grid, passes that touch its
+        # last row or column, and passes that reach far outside it give the
+        # zero-padded bilinear formula bit for bit
+        g = make_grid(rng, w=9, l=7, c=3)
+        inside = rng.uniform(0.0, [7.99, 5.99], size=(QUERY_CHUNK, 2))
+        last_row = rng.uniform(0.0, [9.0, 5.99], size=(QUERY_CHUNK, 2))
+        last_column = rng.uniform(0.0, [7.99, 7.0], size=(QUERY_CHUNK, 2))
+        mixed = rng.uniform(-2.0, [10.0, 8.0], size=(QUERY_CHUNK // 2, 2))
+        q = np.vstack([inside, last_row, last_column, mixed, inside[:5]])
+
+        def corner(i, j):
+            if 0 <= i < g.data.shape[0] and 0 <= j < g.data.shape[1]:
+                return g.data[i, j]
+            return np.zeros(g.channels)
+
+        expected = []
+        for x, y in q:
+            ix, iy = int(np.floor(x)), int(np.floor(y))
+            tx, ty = x - ix, y - iy
+            v00, v10, v01, v11 = corner(ix, iy), corner(ix + 1, iy), corner(ix, iy + 1), corner(ix + 1, iy + 1)
+            expected.append((1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11))
+        assert np.array_equal(bilinear_many(g, q), np.array(expected))
+        assert bilinear_many(g, np.empty((0, 2))).shape == (0, g.channels)
 
     def test_partial_contribution_just_outside(self, rng):
         # between -1 and 0 the inside corner still contributes
