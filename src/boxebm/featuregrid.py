@@ -87,8 +87,20 @@ def _corner_values(grid: FeatureGrid, q: np.ndarray):
     return fetch(0, 0), fetch(1, 0), fetch(0, 1), fetch(1, 1), tx[:, None], ty[:, None]
 
 
-def _interp(v00, v10, v01, v11, tx, ty):
-    return (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
+def _interp(v00, v10, v01, v11, tx, ty, out):
+    """(1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
+    into `out`, with the same products and sums in the same order but no
+    temporaries: the four corner arrays are overwritten."""
+    sy = 1 - ty
+    v00 *= sy
+    v01 *= ty
+    v00 += v01
+    v10 *= sy
+    v11 *= ty
+    v10 += v11
+    v00 *= 1 - tx
+    v10 *= tx
+    return np.add(v00, v10, out=out)
 
 
 def bilinear_many(grid: FeatureGrid, q: np.ndarray) -> np.ndarray:
@@ -96,28 +108,16 @@ def bilinear_many(grid: FeatureGrid, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     out = np.empty((len(q), grid.channels))
     for start in range(0, len(q), QUERY_CHUNK):
-        v00, v10, v01, v11, tx, ty = _corner_values(grid, q[start:start + QUERY_CHUNK])
-        # `_interp` in place on the fresh corner arrays: the same products
-        # and sums in the same order, without the temporaries
-        sy = 1 - ty
-        v00 *= sy
-        v01 *= ty
-        v00 += v01
-        v10 *= sy
-        v11 *= ty
-        v10 += v11
-        v00 *= 1 - tx
-        v10 *= tx
-        np.add(v00, v10, out=out[start:start + QUERY_CHUNK])
+        _interp(*_corner_values(grid, q[start:start + QUERY_CHUNK]), out=out[start:start + QUERY_CHUNK])
     return out
 
 
 def bilinear_grad_many(grid: FeatureGrid, q: np.ndarray):
     """Values (N, C) and analytic Jacobians (N, C, 2) w.r.t. the query point."""
     v00, v10, v01, v11, tx, ty = _corner_values(grid, np.asarray(q, dtype=float))
-    val = _interp(v00, v10, v01, v11, tx, ty)
     dx = (1 - ty) * (v10 - v00) + ty * (v11 - v01)
     dy = (1 - tx) * (v01 - v00) + tx * (v11 - v10)
+    val = _interp(v00, v10, v01, v11, tx, ty, out=np.empty_like(v00))
     return val, np.stack([dx, dy], axis=2)
 
 
