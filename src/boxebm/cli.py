@@ -140,11 +140,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _refine_scene(params, scene, cfg: RunConfig, rcfg: RefineConfig):
-    refined, traces = refine_all(params, scene.grid, scene.initial_dets, cfg.pool, rcfg)
-    return refined, traces
-
-
 def cmd_refine(cfg: RunConfig, args) -> int:
     _require(args, "dataset", "checkpoint", "out")
     out = Path(args.out)
@@ -160,7 +155,7 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     n_dets = 0
     for i in range(len(scenes)):
         scene = scenes[i]
-        refined, traces = _refine_scene(params, scene, cfg, cfg.refine)
+        refined, traces = refine_all(params, scene.grid, scene.initial_dets, cfg.pool, cfg.refine)
         labels = [from_box3d(d.box, score=d.score) for d in refined]
         (dets_dir / f"{scene.id:06d}.txt").write_text(write_result_file(labels))
         for di, trace in enumerate(traces):
@@ -204,6 +199,13 @@ def _kitti_labels(path: Path):
     return labels
 
 
+def _kitti_scene_id(path: Path) -> int:
+    """Scene id of a KITTI file: its name is the id in decimal digits."""
+    if not (path.stem.isascii() and path.stem.isdigit()):
+        raise InputError(f"{path}: KITTI file names must be numeric scene ids")
+    return int(path.stem)
+
+
 def _gts_from_kitti(label_dir: Path):
     gts = {}
     for path in sorted(Path(label_dir).glob("*.txt")):
@@ -217,7 +219,7 @@ def _gts_from_kitti(label_dir: Path):
                 occlusion=min(max(lab.occluded, 0), 3),
                 truncation=min(max(lab.truncated, 0.0), 1.0),
             ))
-        gts[int(path.stem)] = entries
+        gts[_kitti_scene_id(path)] = entries
     if not gts:
         raise InputError(f"no label files under {label_dir}")
     return gts
@@ -231,7 +233,7 @@ def _dets_from_kitti(dets_dir: Path, expected_ids):
             if lab.score is None:
                 raise InputError(f"{path} has a detection without a score")
             rows.append(ScoredBox(to_box3d(lab), lab.score))
-        dets[int(path.stem)] = rows
+        dets[_kitti_scene_id(path)] = rows
     missing = sorted(set(expected_ids) - set(dets))
     extra = sorted(set(dets) - set(expected_ids))
     if missing or extra:

@@ -80,10 +80,13 @@ def _parse_scalar(text: str, like):
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {text!r}")
-    if isinstance(like, int):
-        return int(text)
-    if isinstance(like, float):
-        return float(text)
+    try:
+        if isinstance(like, int):
+            return int(text)
+        if isinstance(like, float):
+            return float(text)
+    except ValueError:
+        raise ConfigError(f"expected {type(like).__name__}, got {text!r}") from None
     return text
 
 
@@ -93,6 +96,13 @@ def _parse_value(text: str, like):
         elem = like[0] if len(like) else ""
         return tuple(_parse_scalar(p, elem) for p in parts)
     return _parse_scalar(text, like)
+
+
+def _parse_keyed(key: str, text: str, like):
+    try:
+        return _parse_value(text, like)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -120,7 +130,7 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
     scalar_updates: dict = {}
     for key, raw in flat.items():
         if key in _SCALARS:
-            scalar_updates[key] = _parse_scalar(raw, getattr(cfg, key))
+            scalar_updates[key] = _parse_keyed(key, raw, getattr(cfg, key))
             continue
         if "." not in key:
             raise ConfigError(f"unknown config key {key!r}")
@@ -130,7 +140,7 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
         target = getattr(cfg, group)
         if not any(f.name == sub for f in fields(target)):
             raise ConfigError(f"unknown config key {key!r}")
-        group_updates[group][sub] = _parse_value(raw, getattr(target, sub))
+        group_updates[group][sub] = _parse_keyed(key, raw, getattr(target, sub))
     cfg = replace(cfg, **scalar_updates)
     if "seed" not in group_updates["synth"]:
         group_updates["synth"]["seed"] = cfg.seed

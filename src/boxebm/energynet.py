@@ -128,12 +128,22 @@ def _check_finite(arr: np.ndarray, where: str):
         raise NumericError("non-finite activation", where=where)
 
 
-def _enc_forward(layers, x: np.ndarray, where: str):
+def _matmul(x: np.ndarray, w: np.ndarray, per_row: bool) -> np.ndarray:
+    """x (B, K) @ w (K, N) or (K,). With `per_row`, each row is its own
+    one-row product, so a row's result does not depend on the other rows of
+    the batch (a multi-row BLAS product may round a row differently); the
+    default one product is much faster on large batches."""
+    if per_row:
+        return (x[:, None, :] @ w)[:, 0]
+    return x @ w
+
+
+def _enc_forward(layers, x: np.ndarray, where: str, per_row: bool):
     """x: (B,) scalars -> pre/post activations of the two ReLU layers."""
     z1 = x[:, None] * layers[0].W[:, 0][None, :] + layers[0].b[None, :]
     _check_finite(z1, f"{where}.0")
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ layers[1].W.T + layers[1].b[None, :]
+    z2 = _matmul(a1, layers[1].W.T, per_row) + layers[1].b[None, :]
     _check_finite(z2, f"{where}.1")
     return z1, a1, z2, np.maximum(z2, 0.0)
 
@@ -148,22 +158,26 @@ def _validate(params: EnergyNetParams, grid: FeatureGrid, cfg: PoolConfig):
 
 
 def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig,
-                  with_box_jac: bool = False):
-    """Energies for box rows (B, 7). Returns (values (B,), cache dict)."""
+                  with_box_jac: bool = False, per_row: bool = False):
+    """Energies for box rows (B, 7). Returns (values (B,), cache dict).
+
+    With `per_row`, every row's value equals its one-row call bit for bit,
+    whatever the other rows are; without it, rows of larger batches may
+    differ from their one-row values in the last bits."""
     _validate(params, grid, cfg)
     boxes = np.asarray(boxes, dtype=float)
     pooled, pooled_jac = pool_bev_batch(grid, boxes[:, _BEV_COLS], cfg, with_jac=with_box_jac)
-    cz1, ca1, cz2, ca2 = _enc_forward(params.enc_cz, boxes[:, 2], "enc_cz")
-    hz1, ha1, hz2, ha2 = _enc_forward(params.enc_h, boxes[:, 3], "enc_h")
+    cz1, ca1, cz2, ca2 = _enc_forward(params.enc_cz, boxes[:, 2], "enc_cz", per_row)
+    hz1, ha1, hz2, ha2 = _enc_forward(params.enc_h, boxes[:, 3], "enc_h", per_row)
     h5 = np.concatenate([pooled, ca2, ha2], axis=1)
     w1, w2, w3 = params.head
-    z1 = h5 @ w1.W.T + w1.b[None, :]
+    z1 = _matmul(h5, w1.W.T, per_row) + w1.b[None, :]
     _check_finite(z1, "head.0")
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2.W.T + w2.b[None, :]
+    z2 = _matmul(a1, w2.W.T, per_row) + w2.b[None, :]
     _check_finite(z2, "head.1")
     a2 = np.maximum(z2, 0.0)
-    values = a2 @ w3.W[0] + w3.b[0]
+    values = _matmul(a2, w3.W[0], per_row) + w3.b[0]
     _check_finite(values, "head.2")
     cache = dict(
         boxes=boxes, pooled=pooled, pooled_jac=pooled_jac, h5=h5,
@@ -173,7 +187,8 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     return values, cache
 
 
-def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_params: bool = True):
+def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_params: bool = True,
+                   per_row: bool = False):
     """Backprop the head with per-row output weights delta (B,). Returns
     (dh5 (B, n5 - first_input), head param grads in layer order, or None
     without `with_params`): dh5 is the gradient w.r.t. the head inputs
@@ -183,9 +198,9 @@ def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_
     d3 = delta  # (B,)
     da2 = d3[:, None] * w3.W[0][None, :]
     dz2 = da2 * (z2 > 0.0)
-    da1 = dz2 @ w2.W
+    da1 = _matmul(dz2, w2.W, per_row)
     dz1 = da1 * (z1 > 0.0)
-    dh5 = dz1 @ w1.W[:, first_input:]
+    dh5 = _matmul(dz1, w1.W[:, first_input:], per_row)
     if not with_params:
         return dh5, None
     dW3 = (d3 @ a2)[None, :]
@@ -198,12 +213,12 @@ def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_
 
 
 def _enc_backward(layers, cache_z1, cache_a1, cache_z2, x: np.ndarray, dout: np.ndarray,
-                  with_params: bool = True):
+                  with_params: bool = True, per_row: bool = False):
     """Backprop one scalar encoder. Returns (dx (B,), param grads or None)."""
     dz2 = dout * (cache_z2 > 0.0)
-    da1 = dz2 @ layers[1].W
+    da1 = _matmul(dz2, layers[1].W, per_row)
     dz1 = da1 * (cache_z1 > 0.0)
-    dx = dz1 @ layers[0].W[:, 0]
+    dx = _matmul(dz1, layers[0].W[:, 0], per_row)
     if not with_params:
         return dx, None
     dW2 = dz2.T @ cache_a1
@@ -213,11 +228,15 @@ def _enc_backward(layers, cache_z1, cache_a1, cache_z2, x: np.ndarray, dout: np.
     return dx, [(dW1, db1), (dW2, db2)]
 
 
-def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig):
-    """Energies (B,) and gradients (B, 7) w.r.t. each box's coordinates."""
-    values, cache = forward_batch(params, grid, boxes, cfg, with_box_jac=True)
+def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig,
+                   per_row: bool = False):
+    """Energies (B,) and gradients (B, 7) w.r.t. each box's coordinates.
+
+    The energies equal `forward_batch`'s bit for bit; `per_row` is as there
+    and covers the gradients too."""
+    values, cache = forward_batch(params, grid, boxes, cfg, with_box_jac=True, per_row=per_row)
     b = len(values)
-    dh5, _ = _head_backward(params, cache, np.ones(b), with_params=False)
+    dh5, _ = _head_backward(params, cache, np.ones(b), with_params=False, per_row=per_row)
     n4 = params.dims.feat_len
     e = params.dims.enc_dim
     grad = np.zeros((b, 7))
@@ -225,9 +244,11 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
     bev = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
     grad[:, _BEV_COLS] = bev
     grad[:, 2], _ = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                                  cache["boxes"][:, 2], dh5[:, n4:n4 + e], with_params=False)
+                                  cache["boxes"][:, 2], dh5[:, n4:n4 + e], with_params=False,
+                                  per_row=per_row)
     grad[:, 3], _ = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                                  cache["boxes"][:, 3], dh5[:, n4 + e:], with_params=False)
+                                  cache["boxes"][:, 3], dh5[:, n4 + e:], with_params=False,
+                                  per_row=per_row)
     _check_finite(grad, "box gradient")
     return values, grad
 
@@ -291,26 +312,29 @@ def load_checkpoint(path) -> EnergyNetParams:
         raw = f.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ConfigError(f"not a checkpoint file: {path}")
-    version, n_tensors = struct.unpack_from("<II", raw, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    pos = 16
-    table = []
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + name_len].decode()
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        table.append((name, shape))
-    arrays = {}
-    for name, shape in table:
-        count = int(np.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        pos += 8 * count
+    try:  # a file cut short ends in one of these
+        version, n_tensors = struct.unpack_from("<II", raw, 8)
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version}")
+        pos = 16
+        table = []
+        for _ in range(n_tensors):
+            (name_len,) = struct.unpack_from("<H", raw, pos)
+            pos += 2
+            name = raw[pos:pos + name_len].decode()
+            pos += name_len
+            (ndim,) = struct.unpack_from("<B", raw, pos)
+            pos += 1
+            shape = struct.unpack_from(f"<{ndim}I", raw, pos)
+            pos += 4 * ndim
+            table.append((name, shape))
+        arrays = {}
+        for name, shape in table:
+            count = int(np.prod(shape))
+            arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+            pos += 8 * count
+    except (struct.error, ValueError) as exc:
+        raise ConfigError(f"truncated or corrupt checkpoint {path}: {exc}") from None
     try:
         enc_dim = arrays["enc_cz.0.W"].shape[0]
         in_len = arrays["head.0.W"].shape[1]

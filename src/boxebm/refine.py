@@ -2,15 +2,21 @@
 
 Per detection: propose y + step * grad(f); accept only if the energy
 strictly increases, otherwise halve-decay the step length and stay put.
-The step length resets for every detection, scores pass through
-unchanged, and there is no randomness, so outputs are a deterministic
-function of the inputs.
+Every detection has its own step length, scores pass through unchanged,
+and there is no randomness, so outputs are a deterministic function of
+the inputs.
 
-Evaluation budget per detection (values cached across iterations): one
-initial gradient pass, one energy evaluation per proposal, and one
-gradient pass after each accepted step except in the final iteration --
-at most T gradient passes and 2T forward passes for T iterations, zero
-for T = 0.
+All detections of a call ascend together as rows of one batch, each with
+its own step length, current value and acceptance. The network runs with
+per-row products, so a detection's result does not depend on which other
+detections share its batch: `refine_one` is the batch of one.
+
+Evaluation budget per call, whatever the number of detections, zero for
+T = 0: one initial gradient pass, then each of the first T - 1 proposals
+is evaluated by a gradient pass, so its gradient is ready if it is
+accepted, and the final proposal by one forward pass -- T gradient passes
+and one forward pass for T iterations. A rejected proposal's gradient is
+computed and dropped.
 """
 
 from __future__ import annotations
@@ -70,50 +76,48 @@ class TraceRow:
 def refine_one(params: EnergyNetParams, grid: FeatureGrid, det: Detection,
                pool_cfg: PoolConfig, cfg: RefineConfig):
     """Refine a single detection; returns (refined detection, trace rows)."""
-    if cfg.steps == 0:
-        return det, []
-    y = det.box.as_array()
-    lam = cfg.step_size
-    try:
-        values, grads = box_grad_batch(params, grid, y[None, :], pool_cfg)
-    except NumericError as exc:
-        raise NumericError(str(exc), where="iteration 0") from exc
-    val, grad = float(values[0]), grads[0]
-    trace: list[TraceRow] = []
-    for t in range(cfg.steps):
-        prop = y + lam * grad
-        try:
-            pval = float(forward_batch(params, grid, prop[None, :], pool_cfg)[0][0])
-        except NumericError as exc:
-            raise NumericError(str(exc), where=f"iteration {t}") from exc
-        accepted = pval > val
-        trace.append(TraceRow(t, val, pval, accepted, lam))
-        if accepted:
-            y = prop
-            val = pval
-            if t < cfg.steps - 1:
-                _, grads = box_grad_batch(params, grid, y[None, :], pool_cfg)
-                grad = grads[0]
-        else:
-            lam *= cfg.decay
-    dims = y[3:6]
-    if np.any(dims < MIN_DIMENSION):
-        logger.warning("refinement produced box dimensions below %g m; clamping", MIN_DIMENSION)
-        y = y.copy()
-        y[3:6] = np.maximum(dims, MIN_DIMENSION)
-    return Detection(box=Box3D.from_array(y), score=det.score), trace
+    refined, traces = refine_all(params, grid, [det], pool_cfg, cfg)
+    return refined[0], traces[0]
 
 
 def refine_all(params: EnergyNetParams, grid: FeatureGrid, dets, pool_cfg: PoolConfig,
                cfg: RefineConfig):
-    """Refine each detection independently; order preserved.
+    """Refine each detection independently in one batched ascent; order preserved.
 
     Returns (list of refined detections, list of per-detection traces).
     """
-    refined = []
-    traces = []
-    for det in dets:
-        out, trace = refine_one(params, grid, det, pool_cfg, cfg)
-        refined.append(out)
-        traces.append(trace)
-    return refined, traces
+    dets = list(dets)
+    if cfg.steps == 0 or not dets:
+        return dets, [[] for _ in dets]
+    y = np.array([d.box.as_array() for d in dets])
+    lam = np.full(len(dets), cfg.step_size)
+    try:
+        val, grad = box_grad_batch(params, grid, y, pool_cfg, per_row=True)
+    except NumericError as exc:
+        raise NumericError(str(exc), where="iteration 0") from exc
+    traces: list[list[TraceRow]] = [[] for _ in dets]
+    for t in range(cfg.steps):
+        prop = y + lam[:, None] * grad
+        last = t == cfg.steps - 1
+        try:
+            if last:
+                pval = forward_batch(params, grid, prop, pool_cfg, per_row=True)[0]
+            else:  # the gradient is ready if the proposal is accepted
+                pval, pgrad = box_grad_batch(params, grid, prop, pool_cfg, per_row=True)
+        except NumericError as exc:
+            raise NumericError(str(exc), where=f"iteration {t}") from exc
+        accepted = pval > val
+        for trace, v, pv, acc, step in zip(traces, val.tolist(), pval.tolist(), accepted.tolist(),
+                                           lam.tolist()):
+            trace.append(TraceRow(t, v, pv, acc, step))
+        y[accepted] = prop[accepted]
+        val[accepted] = pval[accepted]
+        if not last:
+            grad[accepted] = pgrad[accepted]
+        lam[~accepted] *= cfg.decay
+    small = y[:, 3:6] < MIN_DIMENSION
+    if small.any():
+        logger.warning("refinement produced box dimensions below %g m in %d detection(s); clamping",
+                       MIN_DIMENSION, int(small.any(axis=1).sum()))
+        y[:, 3:6] = np.maximum(y[:, 3:6], MIN_DIMENSION)
+    return [Detection(box=Box3D.from_array(row), score=d.score) for row, d in zip(y, dets)], traces

@@ -270,19 +270,19 @@ def load_scene(path) -> Scene:
         raw = f.read()
     if raw[:8] != SCENE_MAGIC:
         raise InputError(f"not a scene file: {path}")
-    version, scene_id = struct.unpack_from("<II", raw, 8)
-    if version != SCENE_VERSION:
-        raise InputError(f"unsupported scene version {version}")
-    w, length, c = struct.unpack_from("<III", raw, 16)
-    res, ox, oy = struct.unpack_from("<ddd", raw, 28)
-    n_gts, n_dets = struct.unpack_from("<II", raw, 52)
-    pos = 60
-    count = w * length * c
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(w, length, c).copy()
-    pos += 8 * count
-    grid = FeatureGrid(data, origin_x=ox, origin_y=oy, res=res)
-    gts, dets = [], []
-    try:  # non-finite values, non-positive sizes and bad scores are input errors
+    try:  # a file cut short, a bad grid, non-finite values, non-positive sizes and bad scores are input errors
+        version, scene_id = struct.unpack_from("<II", raw, 8)
+        if version != SCENE_VERSION:
+            raise InputError(f"unsupported scene version {version}")
+        w, length, c = struct.unpack_from("<III", raw, 16)
+        res, ox, oy = struct.unpack_from("<ddd", raw, 28)
+        n_gts, n_dets = struct.unpack_from("<II", raw, 52)
+        pos = 60
+        count = w * length * c
+        data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(w, length, c).copy()
+        pos += 8 * count
+        grid = FeatureGrid(data, origin_x=ox, origin_y=oy, res=res)
+        gts, dets = [], []
         for _ in range(n_gts):
             box = Box3D.from_array(_finite_row(raw, 7, pos))
             pos += 56
@@ -298,7 +298,7 @@ def load_scene(path) -> Scene:
             row = _finite_row(raw, 8, pos)
             pos += 64
             dets.append(Detection(box=Box3D.from_array(row[:7]), score=float(row[7])))
-    except ValueError as exc:
+    except (struct.error, ValueError, ConfigError) as exc:
         raise InputError(f"{path}: {exc}") from None
     return Scene(id=scene_id, grid=grid, gts=gts, initial_dets=dets)
 

@@ -93,12 +93,32 @@ def small_energy_setup(rng: np.random.Generator):
     params = init_params(int(rng.integers(1 << 31)), dims)
     vec = params.to_vector()
     params = params.from_vector(vec + 0.05 * rng.normal(size=vec.size))
-    box = np.array([
+    return params, grid, random_box_row(rng), cfg
+
+
+def random_box_row(rng: np.random.Generator) -> np.ndarray:
+    """A box row (cx, cy, cz, h, w, l, yaw) near the origin of the test grids."""
+    return np.array([
         rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.2),
         rng.uniform(0.8, 2.0), rng.uniform(0.8, 2.0), rng.uniform(1.5, 4.0),
         rng.uniform(-math.pi, math.pi),
     ])
-    return params, grid, box, cfg
+
+
+def default_size_setup(rng: np.random.Generator):
+    """Like `small_energy_setup`, but with the default pool, encoder and
+    head sizes, where multi-row BLAS products round rows differently from
+    one-row products."""
+    from boxebm.energynet import EnergyNetDims, init_params
+    from boxebm.featuregrid import FeatureGrid
+    from boxebm.pooling import PoolConfig
+
+    cfg = PoolConfig()
+    grid = FeatureGrid(rng.normal(size=(16, 16, 16)), origin_x=-4.0, origin_y=-4.0, res=0.5)
+    params = init_params(int(rng.integers(1 << 31)), EnergyNetDims(feat_len=cfg.feature_len(16)))
+    vec = params.to_vector()
+    params = params.from_vector(vec + 0.05 * rng.normal(size=vec.size))
+    return params, grid, random_box_row(rng), cfg
 
 
 def fd_safe_instance(rng: np.random.Generator, min_pre=1e-3, min_cell=1e-3):

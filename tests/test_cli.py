@@ -376,3 +376,72 @@ class TestErrorReporting:
         assert run(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+
+class TestMalformedInputs:
+    """Bad config values, truncated files and odd KITTI file names end in one error line."""
+
+    def test_non_numeric_set_value(self, tmp_path, capsys):
+        assert run(["synth-gen", "--set", "n_scenes=abc", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and "n_scenes" in err
+
+    def test_non_numeric_kitti_file_name(self, tmp_path, capsys):
+        for name in ("gt", "dets"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "gt" / "abc.txt").write_text(KITTI_CAR + "\n")
+        (tmp_path / "dets" / "000000.txt").write_text(KITTI_CAR + " 0.5\n")
+        assert run(["eval", "--kitti-gt", str(tmp_path / "gt"), "--dets", str(tmp_path / "dets"),
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and "abc.txt" in err
+
+    @staticmethod
+    def tiny_dataset(root: Path) -> Path:
+        from boxebm.evalkit import GroundTruth
+        from boxebm.featuregrid import FeatureGrid
+        from boxebm.geometry import Box3D
+        from boxebm.refine import Detection
+        from boxebm.synthscene import Scene, save_dataset
+
+        box = Box3D(0.0, 0.0, 0.8, 1.5, 1.6, 3.9, 0.1)
+        scene = Scene(id=0, grid=FeatureGrid(np.ones((2, 2, 4)), -1.0, -1.0, 1.0),
+                      gts=[GroundTruth(box, 40.0, 0, 0.0)], initial_dets=[Detection(box, 0.5)])
+        save_dataset([scene], ["val"], root)
+        return root / "scene_000000.bin"
+
+    def test_scene_file_non_finite_grid(self, tmp_path, capsys):
+        path = self.tiny_dataset(tmp_path / "data")
+        raw = bytearray(path.read_bytes())
+        raw[60:68] = np.float64(np.nan).tobytes()  # first grid value
+        path.write_bytes(bytes(raw))
+        assert run(["eval", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and "non-finite" in err
+
+    def test_truncated_checkpoint_at_every_offset(self, tmp_path, capsys):
+        from boxebm.energynet import EnergyNetDims, init_params, save_checkpoint
+
+        data = tmp_path / "data"
+        self.tiny_dataset(data)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_params(0, EnergyNetDims(feat_len=4, enc_dim=2, head_dims=(3, 2))), ckpt)
+        raw = ckpt.read_bytes()
+        for cut in range(len(raw)):
+            ckpt.write_bytes(raw[:cut])
+            assert run(["refine", "--dataset", str(data), "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(("error:config:", "error:input:")), (cut, err)
+            assert err.count("\n") == 1, (cut, err)
+
+    def test_truncated_scene_file_at_every_offset(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        path = self.tiny_dataset(data)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            assert run(["eval", "--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:input:"), (cut, err)
+            assert err.count("\n") == 1, (cut, err)

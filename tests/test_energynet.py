@@ -18,7 +18,7 @@ from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
 from boxebm.geometry import Box3D
 from boxebm.pooling import PoolConfig
-from helpers import fd_safe_instance, small_energy_setup
+from helpers import default_size_setup, fd_safe_instance, small_energy_setup
 
 SMALL_DIMS = EnergyNetDims(feat_len=12, enc_dim=4, head_dims=(16, 16))
 
@@ -236,6 +236,20 @@ class TestBatchConsistency:
         # identical rows in one batch give identical outputs
         dup, _ = forward_batch(params, grid, np.stack([box, box]), cfg)
         assert dup[0] == dup[1]
+
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 6, 12])
+    def test_per_row_matches_one_row_calls(self, rng, b):
+        for setup in (small_energy_setup, default_size_setup):
+            params, grid, box, cfg = setup(rng)
+            boxes = box + 0.1 * rng.normal(size=(b, 7))
+            values, _ = forward_batch(params, grid, boxes, cfg, per_row=True)
+            gvalues, grads = box_grad_batch(params, grid, boxes, cfg, per_row=True)
+            for k in range(b):
+                one, _ = forward_batch(params, grid, boxes[k:k + 1], cfg)
+                one_g, one_grad = box_grad_batch(params, grid, boxes[k:k + 1], cfg)
+                assert values[k] == one[0] == gvalues[k] == one_g[0]
+                assert np.array_equal(grads[k], one_grad[0])
 
 
 class TestCheckpoint:

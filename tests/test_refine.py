@@ -8,7 +8,7 @@ from boxebm.featuregrid import FeatureGrid
 from boxebm.geometry import Box3D, BoxBEV
 from boxebm.pooling import PoolConfig, grid_points
 from boxebm.refine import Detection, RefineConfig, refine_all, refine_one
-from helpers import small_energy_setup
+from helpers import default_size_setup, small_energy_setup
 
 
 def zero_net(params):
@@ -160,6 +160,53 @@ class TestRefineAll:
         rev, _ = refine_all(params, grid, dets[::-1], cfg, RefineConfig(steps=4, step_size=0.05))
         for a, b in zip(fwd, rev[::-1]):
             assert np.array_equal(a.box.as_array(), b.box.as_array())
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("setup, step_size", [
+        (small_energy_setup, 0.05), (small_energy_setup, 0.5), (small_energy_setup, 5.0),
+        (default_size_setup, 0.5),
+    ])
+    def test_equals_one_detection_at_a_time(self, rng, setup, step_size):
+        rcfg = RefineConfig(steps=6, step_size=step_size)
+        accepted = rejected = 0
+        for n in range(1, 9):
+            params, grid, box, cfg = setup(rng)
+            dets = [random_detection(rng, box + 0.3 * rng.normal(size=7)) for _ in range(n)]
+            dets += dets[: n // 3]  # duplicate rows
+            singles = [refine_one(params, grid, det, cfg, rcfg) for det in dets]
+            for order in (slice(None), slice(None, None, -1)):
+                refined, traces = refine_all(params, grid, dets[order], cfg, rcfg)
+                for out, trace, (one, one_trace) in zip(refined, traces, singles[order]):
+                    assert np.array_equal(out.box.as_array(), one.box.as_array())
+                    assert out.score == one.score
+                    assert trace == one_trace
+            accepted += sum(row.accepted for _, trace in singles for row in trace)
+            rejected += sum(not row.accepted for _, trace in singles for row in trace)
+        if step_size >= 0.5:  # both branches of the ascent were taken
+            assert accepted > 0 and rejected > 0
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_budget_per_call(self, rng, monkeypatch, n):
+        params, grid, box, cfg = small_energy_setup(rng)
+        dets = [random_detection(rng, box + 0.2 * rng.normal(size=7)) for _ in range(n)]
+        counts = {"fwd": 0, "grad": 0}
+        real_fwd, real_grad = refine_mod.forward_batch, refine_mod.box_grad_batch
+
+        def fwd(*a, **k):
+            counts["fwd"] += 1
+            return real_fwd(*a, **k)
+
+        def grad(*a, **k):
+            counts["grad"] += 1
+            return real_grad(*a, **k)
+
+        monkeypatch.setattr(refine_mod, "forward_batch", fwd)
+        monkeypatch.setattr(refine_mod, "box_grad_batch", grad)
+        t = 9
+        refine_all(params, grid, dets, cfg, RefineConfig(steps=t, step_size=0.5))
+        assert counts["grad"] <= t
+        assert counts["fwd"] + counts["grad"] <= t + 1
 
 
 def test_config_validation():
