@@ -16,7 +16,9 @@ T = 0: one initial gradient pass, then each of the first T - 1 proposals
 is evaluated by a gradient pass, so its gradient is ready if it is
 accepted, and the final proposal by one forward pass -- T gradient passes
 and one forward pass for T iterations. A rejected proposal's gradient is
-computed and dropped.
+computed and dropped. Only an accepted proposal needs a finite gradient:
+an iteration whose batched pass meets a non-finite one is evaluated again
+as a forward pass and a gradient pass over its accepted proposals.
 """
 
 from __future__ import annotations
@@ -80,6 +82,25 @@ def refine_one(params: EnergyNetParams, grid: FeatureGrid, det: Detection,
     return refined[0], traces[0]
 
 
+def _value_and_grad(params: EnergyNetParams, grid: FeatureGrid, prop: np.ndarray, val: np.ndarray,
+                    pool_cfg: PoolConfig):
+    """Values (B,) and gradients (B, 7) of the proposals.
+
+    Only an accepted proposal's gradient is used, so when the batched pass
+    meets a non-finite gradient, the values come from a forward pass and the
+    gradients from the accepted proposals alone (zero elsewhere). Per-row
+    products give the same bits either way."""
+    try:
+        return box_grad_batch(params, grid, prop, pool_cfg, per_row=True)
+    except NumericError:
+        pval = forward_batch(params, grid, prop, pool_cfg, per_row=True)[0]
+        pgrad = np.zeros_like(prop)
+        accepted = pval > val
+        if accepted.any():
+            pgrad[accepted] = box_grad_batch(params, grid, prop[accepted], pool_cfg, per_row=True)[1]
+        return pval, pgrad
+
+
 def refine_all(params: EnergyNetParams, grid: FeatureGrid, dets, pool_cfg: PoolConfig,
                cfg: RefineConfig):
     """Refine each detection independently in one batched ascent; order preserved.
@@ -90,7 +111,7 @@ def refine_all(params: EnergyNetParams, grid: FeatureGrid, dets, pool_cfg: PoolC
     if cfg.steps == 0 or not dets:
         return dets, [[] for _ in dets]
     y = np.array([d.box.as_array() for d in dets])
-    lam = np.full(len(dets), cfg.step_size)
+    lam = np.full(len(dets), cfg.step_size, dtype=float)
     try:
         val, grad = box_grad_batch(params, grid, y, pool_cfg, per_row=True)
     except NumericError as exc:
@@ -103,7 +124,7 @@ def refine_all(params: EnergyNetParams, grid: FeatureGrid, dets, pool_cfg: PoolC
             if last:
                 pval = forward_batch(params, grid, prop, pool_cfg, per_row=True)[0]
             else:  # the gradient is ready if the proposal is accepted
-                pval, pgrad = box_grad_batch(params, grid, prop, pool_cfg, per_row=True)
+                pval, pgrad = _value_and_grad(params, grid, prop, val, pool_cfg)
         except NumericError as exc:
             raise NumericError(str(exc), where=f"iteration {t}") from exc
         accepted = pval > val

@@ -3,7 +3,7 @@ import pytest
 
 import boxebm.refine as refine_mod
 from boxebm.energynet import EnergyNetDims, init_params
-from boxebm.errors import ConfigError
+from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
 from boxebm.geometry import Box3D, BoxBEV
 from boxebm.pooling import PoolConfig, grid_points
@@ -207,6 +207,62 @@ class TestBatchedAscent:
         refine_all(params, grid, dets, cfg, RefineConfig(steps=t, step_size=0.5))
         assert counts["grad"] <= t
         assert counts["fwd"] + counts["grad"] <= t + 1
+
+    def test_integer_step_size(self, rng):
+        params, grid, box, cfg = small_energy_setup(rng)
+        dets = [random_detection(rng, box + 0.3 * rng.normal(size=7)) for _ in range(4)]
+        ints, int_traces = refine_all(params, grid, dets, cfg, RefineConfig(steps=6, step_size=1))
+        floats, float_traces = refine_all(params, grid, dets, cfg, RefineConfig(steps=6, step_size=1.0))
+        assert any(not row.accepted for trace in int_traces for row in trace)
+        for a, b in zip(ints, floats):
+            assert np.array_equal(a.box.as_array(), b.box.as_array())
+        assert int_traces == float_traces
+
+    @staticmethod
+    def overflowing_gradient(monkeypatch, overflows):
+        """Make box_grad_batch fail as on a non-finite gradient wherever
+        `overflows(values)` holds for a row; returns the list of failures."""
+        real = refine_mod.box_grad_batch
+        failures = []
+
+        def grad(*a, **k):
+            values, grads = real(*a, **k)
+            if overflows(values).any():
+                failures.append(len(values))
+                raise NumericError("non-finite activation", where="box gradient")
+            return values, grads
+
+        monkeypatch.setattr(refine_mod, "box_grad_batch", grad)
+        return failures
+
+    def test_non_finite_gradient_of_rejected_proposal_is_dropped(self, rng, monkeypatch):
+        rcfg = RefineConfig(steps=6, step_size=5.0)
+        failures = 0
+        for _ in range(4):
+            params, grid, box, cfg = small_energy_setup(rng)
+            dets = [random_detection(rng, box + 0.3 * rng.normal(size=7)) for _ in range(5)]
+            expect, expect_traces = refine_all(params, grid, dets, cfg, rcfg)
+            # accepted proposals exceed their start value, so only rejected ones fail
+            floor = min(trace[0].current_value for trace in expect_traces)
+            with monkeypatch.context() as m:
+                failed = self.overflowing_gradient(m, lambda v: v < floor)
+                refined, traces = refine_all(params, grid, dets, cfg, rcfg)
+            failures += len(failed)
+            for out, one in zip(refined, expect):
+                assert np.array_equal(out.box.as_array(), one.box.as_array())
+            assert traces == expect_traces
+        assert failures
+
+    def test_non_finite_gradient_of_accepted_proposal_raises(self, rng, monkeypatch):
+        params, grid, box, cfg = small_energy_setup(rng)
+        dets = [random_detection(rng, box)]
+        rcfg = RefineConfig(steps=6, step_size=0.05)
+        _, traces = refine_all(params, grid, dets, cfg, rcfg)
+        assert traces[0][0].accepted
+        start = traces[0][0].current_value
+        self.overflowing_gradient(monkeypatch, lambda v: v > start)
+        with pytest.raises(NumericError, match="iteration 0"):
+            refine_all(params, grid, dets, cfg, rcfg)
 
 
 def test_config_validation():
