@@ -5,50 +5,16 @@ symmetric rendering, which exposes the two heading modes.
 """
 
 import argparse
-import math
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from boxebm.config import build_run_config
-from boxebm.energynet import EnergyNetDims, forward_batch, init_params
-from boxebm.evalkit import evaluate
-from boxebm.nce import TrainConfig, train
-from boxebm.refine import RefineConfig, refine_all
+from boxebm.energynet import heading_scan, init_params
+from boxebm.nce import train
+from boxebm.refine import sweep_t
 from boxebm.synthscene import LazyScenes
-
-
-def sweep_iterations(cfg, trained, val, t_values):
-    print(f"{'T':>4} {'mean 3D AP':>11} {'scenes/s':>9}")
-    for t in t_values:
-        rcfg = replace(cfg.refine, steps=int(t))
-        dets, gts = {}, {}
-        seconds = 0.0
-        for i in range(len(val)):
-            scene = val[i]
-            t0 = time.perf_counter()
-            refined, _ = refine_all(trained, scene.grid, scene.initial_dets, cfg.pool, rcfg)
-            seconds += time.perf_counter() - t0
-            dets[scene.id] = refined
-            gts[scene.id] = scene.gts
-        res = evaluate(dets, gts, modes=("3d",), thresholds=cfg.eval.thresholds)
-        mean_ap = np.mean([res[("3d", thr, "all")].ap for thr in cfg.eval.thresholds])
-        rate = len(val) / seconds if seconds > 0 else float("inf")
-        print(f"{t:>4} {mean_ap:>11.4f} {rate:>9.1f}")
-
-
-def angle_scan(cfg, trained, scene, det_index=0, points=101):
-    base = scene.initial_dets[det_index].box.as_array()
-    deltas = np.linspace(0.0, 2.0 * math.pi, points)
-    boxes = np.tile(base, (points, 1))
-    boxes[:, 6] += deltas
-    values, _ = forward_batch(trained, scene.grid, boxes, cfg.pool)
-    return deltas, values
 
 
 def main():
@@ -64,18 +30,20 @@ def main():
         "train.epochs": str(args.epochs),
         "synth.symmetric_rendering": "true",
     })
-    dims = EnergyNetDims(feat_len=cfg.pool.feature_len(cfg.synth.channels),
-                         enc_dim=cfg.net.enc_dim, head_dims=(cfg.net.head1, cfg.net.head2))
-    trained, records = train(init_params(cfg.seed, dims),
+    trained, records = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),
                              LazyScenes(cfg.synth, range(args.train_scenes)),
                              cfg.train, cfg.noise.build(), cfg.pool)
     print(f"trained on symmetric rendering; final J = {records[-1].loss:.3f}")
 
     val = LazyScenes(cfg.synth, range(args.train_scenes, args.train_scenes + args.val_scenes))
-    sweep_iterations(cfg, trained, val, cfg.sweep.t_values)
+    print(f"{'T':>4} {'mean 3D AP':>11} {'scenes/s':>9}")
+    for t, mean_ap, rate in sweep_t(trained, val, cfg.pool, cfg.refine, cfg.sweep.t_values,
+                                    cfg.eval.thresholds):
+        print(f"{t:>4} {mean_ap:>11.4f} {rate:>9.1f}")
 
     scene = val[0]
-    deltas, values = angle_scan(cfg, trained, scene)
+    deltas, values = heading_scan(trained, scene.grid, scene.initial_dets[0].box.as_array(), cfg.pool,
+                                  cfg.angle_points)
     print("\nheading-angle energy scan (delta_phi, f):")
     for d, v in zip(deltas[::10], values[::10]):
         print(f"  {d:6.3f} {v:10.3f}")

@@ -17,11 +17,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from boxebm.config import build_run_config, resolved_line
-from boxebm.energynet import EnergyNetDims, init_params, save_checkpoint
+from boxebm.energynet import init_params, save_checkpoint
 from boxebm.evalkit import evaluate
 from boxebm.geometry import iou_3d
-from boxebm.nce import TrainConfig, train
-from boxebm.refine import refine_all
+from boxebm.nce import train
+from boxebm.refine import refine_scenes
 from boxebm.synthscene import LazyScenes
 
 
@@ -39,14 +39,10 @@ def main():
 
     cfg = build_run_config({}, {"seed": str(args.seed), "train.epochs": str(args.epochs)})
     print(f"# {resolved_line(cfg)}")
-    dims = EnergyNetDims(feat_len=cfg.pool.feature_len(cfg.synth.channels),
-                         enc_dim=cfg.net.enc_dim, head_dims=(cfg.net.head1, cfg.net.head2))
-    params = init_params(cfg.seed, dims)
-    nm = cfg.noise.build()
-
     t0 = time.perf_counter()
-    trained, records = train(params, LazyScenes(cfg.synth, range(args.train_scenes)),
-                             cfg.train, nm, cfg.pool)
+    trained, records = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),
+                             LazyScenes(cfg.synth, range(args.train_scenes)),
+                             cfg.train, cfg.noise.build(), cfg.pool)
     print(f"trained {len(records)} steps in {time.perf_counter() - t0:.0f}s; "
           f"final J = {np.mean([r.loss for r in records[-10:]]):.3f} "
           f"(uniform-logit baseline log(M+1) = {np.log(cfg.train.noise_samples + 1):.3f})")
@@ -55,19 +51,10 @@ def main():
         print(f"checkpoint -> {args.checkpoint}")
 
     val = LazyScenes(cfg.synth, range(args.train_scenes, args.train_scenes + args.val_scenes))
-    dets_initial, dets_refined, gts = {}, {}, {}
-    iou_before, iou_after = [], []
-    t0 = time.perf_counter()
-    for i in range(len(val)):
-        scene = val[i]
-        refined, _ = refine_all(trained, scene.grid, scene.initial_dets, cfg.pool, cfg.refine)
-        dets_initial[scene.id] = scene.initial_dets
-        dets_refined[scene.id] = refined
-        gts[scene.id] = scene.gts
-        for d, r, g in zip(scene.initial_dets, refined, scene.gts):
-            iou_before.append(iou_3d(d.box, g.box))
-            iou_after.append(iou_3d(r.box, g.box))
-    print(f"refined {len(iou_before)} detections in {time.perf_counter() - t0:.0f}s")
+    dets_initial, dets_refined, gts, seconds = refine_scenes(trained, val, cfg.pool, cfg.refine)
+    iou_before = [iou_3d(d.box, g.box) for sid in gts for d, g in zip(dets_initial[sid], gts[sid])]
+    iou_after = [iou_3d(r.box, g.box) for sid in gts for r, g in zip(dets_refined[sid], gts[sid])]
+    print(f"refined {len(iou_before)} detections in {seconds:.0f}s")
     print(f"mean 3D IoU: initial {np.mean(iou_before):.4f} -> refined {np.mean(iou_after):.4f}")
 
     res_i = evaluate(dets_initial, gts, modes=cfg.eval.modes, thresholds=cfg.eval.thresholds)

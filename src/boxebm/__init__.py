@@ -8,13 +8,12 @@ average-precision evaluation, all exercised on a synthetic BEV harness.
 
 __version__ = "0.1.0"
 
-from .geometry import Box3D, BoxBEV, ConvexPolygon, bev_corners, bev_iou, iou_3d, to_bev
+from .geometry import Box3D, BoxBEV, bev_corners, bev_iou, iou_3d, to_bev
 
 __all__ = [
     "__version__",
     "Box3D",
     "BoxBEV",
-    "ConvexPolygon",
     "bev_corners",
     "bev_iou",
     "iou_3d",

@@ -16,27 +16,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, build_run_config, parse_config_file, resolved_line
-from .energynet import EnergyNetDims, forward_batch, init_params, load_checkpoint, save_checkpoint
+from .energynet import heading_scan, init_params, load_checkpoint, save_checkpoint
 from .errors import BoxEbmError, ConfigError, GenerationError, InputError, NumericError
 from .evalkit import GroundTruth, ScoredBox, evaluate
+from .geometry import bev_iou, to_bev
 from .kittiio import DONT_CARE, from_box3d, parse_label_file, to_box3d, write_result_file
 from .nce import train
-from .refine import RefineConfig, refine_all
-from .synthscene import (
-    FileScenes,
-    gen_scene_by_index,
-    read_manifest,
-    save_scene,
-    scene_filename,
-    split_indices,
-)
-from .geometry import bev_iou, to_bev
+from .refine import refine_all, sweep_t
+from .synthscene import FileScenes, gen_scene_by_index, save_dataset, split_indices
 
 ERROR_CATEGORIES = [
     (ConfigError, "config"),
@@ -55,14 +45,6 @@ def _write_csv(path: Path, comment: str, header: list[str], rows):
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(str(v) for v in row) + "\n")
-
-
-def _net_dims(cfg: RunConfig, channels: int) -> EnergyNetDims:
-    return EnergyNetDims(
-        feat_len=cfg.pool.feature_len(channels),
-        enc_dim=cfg.net.enc_dim,
-        head_dims=(cfg.net.head1, cfg.net.head2),
-    )
 
 
 def _load_params_checked(checkpoint: Path, cfg: RunConfig, channels: int):
@@ -88,27 +70,20 @@ def _dets_path(out_dir: Path) -> Path:
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
     _require(args, "out")
-    if cfg.n_scenes < 1:
-        raise ConfigError("empty dataset requested")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ids, _ = split_indices(cfg.n_scenes)
-    n_train = len(train_ids)
-    lines = []
+    train_ids, val_ids = split_indices(cfg.n_scenes)
     n_boxes = 0
     iou_sum = 0.0
-    for i in range(cfg.n_scenes):
-        scene = gen_scene_by_index(cfg.synth, i)
-        fname = scene_filename(i)
-        save_scene(scene, out / fname)
-        split = "train" if i < n_train else "val"
-        lines.append(f"{i:06d} {split} {fname}")
-        n_boxes += len(scene.gts)
-        iou_sum += sum(
-            bev_iou(to_bev(d.box), to_bev(g.box))
-            for d, g in zip(scene.initial_dets, scene.gts)
-        )
-    (out / "manifest.txt").write_text("".join(line + "\n" for line in lines))
+
+    def scenes():
+        nonlocal n_boxes, iou_sum
+        for i in range(cfg.n_scenes):
+            scene = gen_scene_by_index(cfg.synth, i)
+            n_boxes += len(scene.gts)
+            iou_sum += sum(bev_iou(to_bev(d.box), to_bev(g.box))
+                           for d, g in zip(scene.initial_dets, scene.gts))
+            yield scene
+
+    save_dataset(scenes(), ["train"] * len(train_ids) + ["val"] * len(val_ids), args.out)
     mean_iou = iou_sum / n_boxes if n_boxes else float("nan")
     print(f"scenes={cfg.n_scenes} boxes={n_boxes} mean_initial_bev_iou={mean_iou:.4f}")
     return 0
@@ -125,7 +100,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     if args.resume:
         params = _load_params_checked(Path(args.resume), cfg, channels)
     else:
-        params = init_params(cfg.seed, _net_dims(cfg, channels))
+        params = init_params(cfg.seed, cfg.net_dims(channels))
     ckpt = out / "checkpoint.ckpt"
     save_checkpoint(params, ckpt)  # a last-good checkpoint always exists
     trained, records = train(
@@ -310,24 +285,7 @@ def cmd_sweep_t(cfg: RunConfig, args) -> int:
         raise InputError(f"no {args.split!r} scenes under {args.dataset}")
     channels = scenes[0].grid.channels
     params = _load_params_checked(Path(args.checkpoint), cfg, channels)
-    rows = []
-    for t in cfg.sweep.t_values:
-        rcfg = RefineConfig(steps=int(t), step_size=cfg.refine.step_size, decay=cfg.refine.decay)
-        dets_by_scene = {}
-        gts_by_scene = {}
-        refine_seconds = 0.0
-        for i in range(len(scenes)):
-            scene = scenes[i]
-            t0 = time.perf_counter()
-            refined, _ = refine_all(params, scene.grid, scene.initial_dets, cfg.pool, rcfg)
-            refine_seconds += time.perf_counter() - t0
-            dets_by_scene[scene.id] = refined
-            gts_by_scene[scene.id] = scene.gts
-        res = evaluate(dets_by_scene, gts_by_scene, modes=("3d",),
-                       thresholds=cfg.eval.thresholds, difficulties=("all",))
-        mean_ap = float(np.mean([res[("3d", thr, "all")].ap for thr in cfg.eval.thresholds]))
-        throughput = len(scenes) / refine_seconds if refine_seconds > 0 else float("inf")
-        rows.append((int(t), mean_ap, throughput))
+    rows = sweep_t(params, scenes, cfg.pool, cfg.refine, cfg.sweep.t_values, cfg.eval.thresholds)
     comment = resolved_line(cfg) + " | mean_ap averages 3D AP over eval.thresholds; throughput times the refinement step only"
     _write_csv(out / "sweep_t.csv", comment, ["T", "mean_ap_3d", "scenes_per_sec"], rows)
     print(f"wrote {out / 'sweep_t.csv'} ({len(rows)} rows)")
@@ -348,11 +306,8 @@ def cmd_angle_scan(cfg: RunConfig, args) -> int:
             f"(scene has {len(scene.initial_dets)} detections)"
         )
     params = _load_params_checked(Path(args.checkpoint), cfg, scene.grid.channels)
-    base = scene.initial_dets[args.det_index].box.as_array()
-    deltas = np.linspace(0.0, 2.0 * np.pi, cfg.angle_points)
-    boxes = np.tile(base, (len(deltas), 1))
-    boxes[:, 6] += deltas
-    values, _ = forward_batch(params, scene.grid, boxes, cfg.pool)
+    deltas, values = heading_scan(params, scene.grid, scene.initial_dets[args.det_index].box.as_array(),
+                                  cfg.pool, cfg.angle_points)
     _write_csv(out / "angle_scan.csv", resolved_line(cfg), ["delta_phi", "energy"],
                list(zip(deltas.tolist(), values.tolist())))
     print(f"wrote {out / 'angle_scan.csv'} ({len(deltas)} rows)")

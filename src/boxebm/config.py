@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .energynet import EnergyNetDims
 from .errors import ConfigError
 from .nce import NoiseModel, TrainConfig
 from .pooling import PoolConfig
@@ -46,6 +47,10 @@ class EvalConfig:
     modes: tuple = ("3d", "bev")
     difficulties: tuple = ("all",)
 
+    def __post_init__(self):
+        if not self.thresholds or not all(0.0 < t <= 1.0 for t in self.thresholds):
+            raise ConfigError(f"IoU thresholds must be in (0, 1], got {self.thresholds}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -65,6 +70,15 @@ class RunConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
+
+    def __post_init__(self):
+        if self.angle_points < 1:
+            raise ConfigError(f"angle_points must be >= 1, got {self.angle_points}")
+
+    def net_dims(self, channels: int) -> EnergyNetDims:
+        """Network sizes for pooled grids of `channels` channels."""
+        return EnergyNetDims(feat_len=self.pool.feature_len(channels), enc_dim=self.net.enc_dim,
+                             head_dims=(self.net.head1, self.net.head2))
 
 
 _GROUPS = ("synth", "pool", "net", "noise", "train", "refine", "eval", "sweep")

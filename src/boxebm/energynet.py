@@ -7,9 +7,8 @@ dense head, ReLU after the first two layers, linear scalar output.
 
 All math is float64 numpy. Gradients w.r.t. the 7 box coordinates
 (cx, cy, cz, h, w, l, yaw) and w.r.t. all parameters are computed
-analytically; a batched core serves training and scanning, and the
-single-box entry points are batch-of-one wrappers so both paths produce
-bit-identical values.
+analytically by one batched core, which serves training, refinement and
+the heading scan.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .featuregrid import FeatureGrid
-from .geometry import Box3D
 from .pooling import PoolConfig, pool_bev_batch
 
 CHECKPOINT_MAGIC = b"BOXEBMCK"
@@ -37,8 +35,8 @@ class EnergyNetDims:
     """Layer sizing. feat_len must equal grid_w * grid_l * channels."""
 
     feat_len: int
-    enc_dim: int = 16
-    head_dims: tuple[int, int] = (1024, 1024)
+    enc_dim: int
+    head_dims: tuple[int, int]
 
     @property
     def input_len(self) -> int:
@@ -98,11 +96,12 @@ class EnergyNetParams:
         return out
 
 
-@dataclass(frozen=True)
-class EnergyEval:
-    value: float
-    grad_box: np.ndarray | None = None  # (7,) d value / d (cx, cy, cz, h, w, l, yaw)
-    grad_params: np.ndarray | None = None  # flat, checkpoint order
+def _layer_shapes(dims: EnergyNetDims) -> dict:
+    """(out, in) of each dense layer, per group, in checkpoint order."""
+    e = dims.enc_dim
+    h1, h2 = dims.head_dims
+    return {"enc_cz": [(e, 1), (e, e)], "enc_h": [(e, 1), (e, e)],
+            "head": [(h1, dims.input_len), (h2, h1), (1, h2)]}
 
 
 def init_params(seed: int, dims: EnergyNetDims) -> EnergyNetParams:
@@ -113,14 +112,8 @@ def init_params(seed: int, dims: EnergyNetDims) -> EnergyNetParams:
         w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_out, n_in))
         return DenseLayer(W=w, b=np.zeros(n_out))
 
-    e = dims.enc_dim
-    h1, h2 = dims.head_dims
-    return EnergyNetParams(
-        dims=dims,
-        enc_cz=[dense(e, 1), dense(e, e)],
-        enc_h=[dense(e, 1), dense(e, e)],
-        head=[dense(h1, dims.input_len), dense(h2, h1), dense(1, h2)],
-    )
+    return EnergyNetParams(dims, *([dense(*shape) for shape in shapes]
+                                   for shapes in _layer_shapes(dims).values()))
 
 
 def _check_finite(arr: np.ndarray, where: str):
@@ -270,24 +263,15 @@ def weighted_param_grad(params: EnergyNetParams, cache: dict, coeffs: np.ndarray
     return np.concatenate(parts)
 
 
-def forward(params: EnergyNetParams, grid: FeatureGrid, box: Box3D, cfg: PoolConfig) -> EnergyEval:
-    """Energy of one box (value only)."""
-    values, _ = forward_batch(params, grid, box.as_array()[None, :], cfg)
-    return EnergyEval(value=float(values[0]))
-
-
-def backward_box(params: EnergyNetParams, grid: FeatureGrid, box: Box3D, cfg: PoolConfig) -> EnergyEval:
-    """Energy and its gradient w.r.t. the 7 box coordinates."""
-    values, grad = box_grad_batch(params, grid, box.as_array()[None, :], cfg)
-    return EnergyEval(value=float(values[0]), grad_box=grad[0])
-
-
-def backward_params(params: EnergyNetParams, grid: FeatureGrid, box: Box3D, cfg: PoolConfig) -> EnergyEval:
-    """Energy and its gradient w.r.t. all parameters (flat, checkpoint order)."""
-    values, cache = forward_batch(params, grid, box.as_array()[None, :], cfg)
-    grad = weighted_param_grad(params, cache, np.ones(1))
-    _check_finite(grad, "parameter gradient")
-    return EnergyEval(value=float(values[0]), grad_params=grad)
+def heading_scan(params: EnergyNetParams, grid: FeatureGrid, box_row: np.ndarray, cfg: PoolConfig,
+                 points: int):
+    """Energies of a box row (7,) turned by `points` evenly spaced angles
+    from 0 to 2 pi, both included. Returns (deltas (points,), values (points,))."""
+    deltas = np.linspace(0.0, 2.0 * np.pi, points)
+    boxes = np.tile(box_row, (points, 1))
+    boxes[:, 6] += deltas
+    values, _ = forward_batch(params, grid, boxes, cfg)
+    return deltas, values
 
 
 def save_checkpoint(params: EnergyNetParams, path):
@@ -343,11 +327,14 @@ def load_checkpoint(path) -> EnergyNetParams:
             enc_dim=enc_dim,
             head_dims=(arrays["head.0.W"].shape[0], arrays["head.1.W"].shape[0]),
         )
-        params = init_params(0, dims)
-        for name, arr in params.named_tensors():
-            if arrays[name].shape != arr.shape:
-                raise ConfigError(f"tensor {name} has shape {arrays[name].shape}, expected {arr.shape}")
-            arr[...] = arrays[name]
+        groups = []
+        for group, shapes in _layer_shapes(dims).items():
+            for i, (n_out, n_in) in enumerate(shapes):
+                for name, shape in ((f"{group}.{i}.W", (n_out, n_in)), (f"{group}.{i}.b", (n_out,))):
+                    if arrays[name].shape != shape:
+                        raise ConfigError(f"tensor {name} has shape {arrays[name].shape}, expected {shape}")
+            groups.append([DenseLayer(W=arrays[f"{group}.{i}.W"], b=arrays[f"{group}.{i}.b"])
+                           for i in range(len(shapes))])
     except KeyError as exc:
         raise ConfigError(f"checkpoint missing tensor {exc}") from exc
-    return params
+    return EnergyNetParams(dims, *groups)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box3D, bev_iou, iou_3d, iou_matrix, to_bev
+from .geometry import Box3D, iou_matrix
 
 RECALL_POSITIONS = np.arange(1, 41) / 40.0
 
@@ -86,14 +86,6 @@ class APResult:
     num_gt: int = 0
 
 
-def iou_fn_for_mode(mode: str):
-    if mode == "3d":
-        return iou_3d
-    if mode == "bev":
-        return lambda a, b: bev_iou(to_bev(a), to_bev(b))
-    raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
 def _match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndarray) -> np.ndarray:
     """Labels (K, T, D) of one scene for T thresholds and K difficulties at once.
 
@@ -123,16 +115,6 @@ def _match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndar
         taken[ks, ts, best[ks, ts]] = True
         labels[..., di] = np.where(has_valid, TP, np.where(found, IGNORED, FP))
     return labels
-
-
-def match_greedy(dets, gts, iou_fn, threshold: float, difficulty: str | None = None) -> np.ndarray:
-    """Per-detection TP/FP/IGNORED labels, in input order."""
-    if not dets:
-        return np.empty(0, dtype=int)
-    scores = np.array([d.score for d in dets])
-    iou = np.array([[iou_fn(d.box, gt.box) for gt in gts] for d in dets]).reshape(len(dets), len(gts))
-    valid = np.array([[gt.passes(difficulty) for gt in gts]], dtype=bool)
-    return _match_scene(scores, iou, [threshold], valid)[0, 0]
 
 
 def average_precision(tp_flags, scores, num_gt: int, threshold: float = float("nan"),

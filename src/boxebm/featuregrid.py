@@ -1,4 +1,4 @@
-"""Dense BEV feature map with a world<->grid transform and bilinear lookup.
+"""Dense BEV feature map with a world-to-grid transform and bilinear lookup.
 
 The grid stores a (W, L, C) array: axis 0 follows world x, axis 1 world y,
 channels innermost. Queries outside the stored extent see zeros (zero
@@ -52,12 +52,6 @@ def world_to_grid(grid: FeatureGrid, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     origin = np.array([grid.origin_x, grid.origin_y])
     return (p - origin) / grid.res
-
-
-def grid_to_world(grid: FeatureGrid, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    origin = np.array([grid.origin_x, grid.origin_y])
-    return q * grid.res + origin
 
 
 def _corner_values(grid: FeatureGrid, q: np.ndarray):
@@ -119,14 +113,3 @@ def bilinear_grad_many(grid: FeatureGrid, q: np.ndarray):
     dy = (1 - tx) * (v01 - v00) + tx * (v11 - v10)
     val = _interp(v00, v10, v01, v11, tx, ty, out=np.empty_like(v00))
     return val, np.stack([dx, dy], axis=2)
-
-
-def bilinear(grid: FeatureGrid, q) -> np.ndarray:
-    """Single-point bilinear interpolation -> (C,) vector."""
-    return bilinear_many(grid, np.asarray(q, dtype=float)[None, :])[0]
-
-
-def bilinear_grad(grid: FeatureGrid, q):
-    """Single-point value (C,) and Jacobian (C, 2) w.r.t. the query point."""
-    val, jac = bilinear_grad_many(grid, np.asarray(q, dtype=float)[None, :])
-    return val[0], jac[0]

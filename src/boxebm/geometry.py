@@ -79,29 +79,18 @@ class BoxBEV:
         return BoxBEV(cx, cy, w, l, yaw)
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex polygon with counter-clockwise vertices, shape (N, 2)."""
-
-    vertices: np.ndarray
-
-    @property
-    def area(self) -> float:
-        return polygon_area(self.vertices)
-
-
 def to_bev(box: Box3D) -> BoxBEV:
     """Project a 3D box to its BEV version by dropping cz and h."""
     return BoxBEV(box.cx, box.cy, box.w, box.l, box.yaw)
 
 
-def bev_corners(box: BoxBEV) -> ConvexPolygon:
-    """The four corners, counter-clockwise: center + R(yaw) @ (+-l/2, +-w/2)."""
+def bev_corners(box: BoxBEV) -> np.ndarray:
+    """The four corners (4, 2), counter-clockwise: center + R(yaw) @ (+-l/2, +-w/2)."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     hl, hw = box.l / 2.0, box.w / 2.0
     local = np.array([(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)])
     rot = np.array([(c, -s), (s, c)])
-    return ConvexPolygon(local @ rot.T + np.array([box.cx, box.cy]))
+    return local @ rot.T + np.array([box.cx, box.cy])
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -169,7 +158,7 @@ def _solid(box: BoxBEV, bottom: float = 0.0, top: float = 1.0):
     exactly 1.0 and every product with them is exact: the 3D formula then
     gives the BEV IoU bit for bit.
     """
-    return bev_corners(box).vertices, bottom, top
+    return bev_corners(box), bottom, top
 
 
 def _iou_ordered(a, b) -> float:

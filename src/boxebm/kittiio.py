@@ -138,12 +138,3 @@ def write_result_file(labels: list[KittiLabel]) -> str:
             raise InputError(f"result line {i} is missing a score")
         lines.append(format_label(label))
     return "".join(line + "\n" for line in lines)
-
-
-def write_label_file(labels: list[KittiLabel]) -> str:
-    """Label-file text: 15 fields per line (scores dropped)."""
-    out = []
-    for label in labels:
-        bare = KittiLabel(**{**label.__dict__, "score": None})
-        out.append(format_label(bare))
-    return "".join(line + "\n" for line in out)

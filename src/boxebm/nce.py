@@ -26,15 +26,9 @@ import numpy as np
 
 from .energynet import EnergyNetParams, forward_batch, weighted_param_grad
 from .errors import ConfigError, GenerationError, NumericError
-from .geometry import Box3D
 from .pooling import PoolConfig
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def default_sigma3() -> np.ndarray:
-    """Widest-component scales per coordinate (cx, cy, cz, h, w, l, yaw)."""
-    return np.array([0.25, 0.25, 0.125, 0.125, 0.125, 0.125, 0.0625])
 
 
 @dataclass(frozen=True)
@@ -62,12 +56,6 @@ class NoiseModel:
     def n_components(self) -> int:
         return self.sigma.shape[0]
 
-    @staticmethod
-    def default(beta: float = 0.0, sigma3: np.ndarray | None = None) -> "NoiseModel":
-        """Three components at 1/4, 1/2 and 1 times the widest scales."""
-        s3 = default_sigma3() if sigma3 is None else np.asarray(sigma3, dtype=float)
-        return NoiseModel(sigma=np.stack([s3 / 4.0, s3 / 2.0, s3]), beta=beta)
-
 
 def sample_noise_rows(nm: NoiseModel, center: np.ndarray, rng: np.random.Generator,
                       n: int, scale: float = 1.0) -> np.ndarray:
@@ -83,11 +71,6 @@ def sample_noise_rows(nm: NoiseModel, center: np.ndarray, rng: np.random.Generat
     raise GenerationError("could not draw valid noise boxes (box dimensions near zero?)")
 
 
-def sample_noise(nm: NoiseModel, box: Box3D, rng: np.random.Generator) -> Box3D:
-    """One noise box around the given box."""
-    return Box3D.from_array(sample_noise_rows(nm, box.as_array(), rng, 1)[0])
-
-
 def noise_log_density_rows(nm: NoiseModel, rows: np.ndarray, center: np.ndarray) -> np.ndarray:
     """log q(row | center) for each row (N, 7), via log-sum-exp over components."""
     d = rows - center[None, :]  # (N, 7)
@@ -98,11 +81,6 @@ def noise_log_density_rows(nm: NoiseModel, rows: np.ndarray, center: np.ndarray)
     comp = quad + lognorm[None, :]
     m = comp.max(axis=1, keepdims=True)
     return (m[:, 0] + np.log(np.exp(comp - m).sum(axis=1))) - math.log(nm.n_components)
-
-
-def log_q(nm: NoiseModel, box: Box3D, center: Box3D) -> float:
-    """Log density of the noise distribution at `box`, centered on `center`."""
-    return float(noise_log_density_rows(nm, box.as_array()[None, :], center.as_array())[0])
 
 
 def logit_loss(z: np.ndarray):
@@ -172,6 +150,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.noise_samples < 1:
             raise ConfigError("need at least one noise sample")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError(f"batch_size and epochs must be >= 1, got {self.batch_size} and {self.epochs}")
         if self.lr_schedule not in ("cosine", "constant"):
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
 

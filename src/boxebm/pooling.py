@@ -35,12 +35,6 @@ class PoolConfig:
         return self.grid_w * self.grid_l * channels
 
 
-@dataclass(frozen=True)
-class PooledFeature:
-    values: np.ndarray  # (grid_w * grid_l * C,)
-    jac: np.ndarray | None  # (len(values), 5) w.r.t. BEV_PARAMS, or None
-
-
 def _cell_fractions(cfg: PoolConfig):
     # cell-center offsets as fractions of the box extents, in (-0.5, 0.5)
     u = (np.arange(cfg.grid_l) + 0.5) / cfg.grid_l - 0.5  # along length
@@ -107,20 +101,3 @@ def pool_bev_batch(grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig, with_j
     pj = pjac.reshape(-1, 2, 5)
     full = np.einsum("ncx,nxp->ncp", vjac, pj) / grid.res
     return vals.reshape(b, n), full.reshape(b, n, 5)
-
-
-def pool_bev(grid: FeatureGrid, box: BoxBEV, cfg: PoolConfig, with_jac: bool = True) -> PooledFeature:
-    """Pool one oriented box into a flat feature vector (+ box Jacobian)."""
-    vals, jac = pool_bev_batch(grid, box.as_array()[None, :], cfg, with_jac)
-    return PooledFeature(values=vals[0], jac=None if jac is None else jac[0])
-
-
-def concat_feature(pooled: np.ndarray, enc_cz: np.ndarray, enc_h: np.ndarray, enc_dim: int | None = None) -> np.ndarray:
-    """Full per-box feature: pooled vector followed by the two encodings."""
-    if enc_dim is not None and (len(enc_cz) != enc_dim or len(enc_h) != enc_dim):
-        raise ConfigError(
-            f"encoder outputs must have length {enc_dim}, got {len(enc_cz)} and {len(enc_h)}"
-        )
-    if len(enc_cz) != len(enc_h):
-        raise ConfigError(f"encoder outputs disagree in length: {len(enc_cz)} vs {len(enc_h)}")
-    return np.concatenate([pooled, enc_cz, enc_h])

@@ -24,12 +24,14 @@ as a forward pass and a gradient pass over its accepted proposals.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energynet import EnergyNetParams, box_grad_batch, forward_batch
 from .errors import ConfigError, NumericError
+from .evalkit import evaluate
 from .featuregrid import FeatureGrid
 from .geometry import Box3D
 from .pooling import PoolConfig
@@ -142,3 +144,39 @@ def refine_all(params: EnergyNetParams, grid: FeatureGrid, dets, pool_cfg: PoolC
                        MIN_DIMENSION, int(small.any(axis=1).sum()))
         y[:, 3:6] = np.maximum(y[:, 3:6], MIN_DIMENSION)
     return [Detection(box=Box3D.from_array(row), score=d.score) for row, d in zip(y, dets)], traces
+
+
+def refine_scenes(params: EnergyNetParams, scenes, pool_cfg: PoolConfig, cfg: RefineConfig):
+    """Refine the scenes of a sequence, read one at a time, with `refine_all`.
+
+    Returns (initial, refined, gts, seconds): the initial and refined
+    detections and the ground truth per scene id, and the seconds spent
+    inside `refine_all` only.
+    """
+    initial, refined, gts = {}, {}, {}
+    seconds = 0.0
+    for i in range(len(scenes)):
+        scene = scenes[i]
+        t0 = time.perf_counter()
+        refined[scene.id], _ = refine_all(params, scene.grid, scene.initial_dets, pool_cfg, cfg)
+        seconds += time.perf_counter() - t0
+        initial[scene.id] = scene.initial_dets
+        gts[scene.id] = scene.gts
+    return initial, refined, gts, seconds
+
+
+def sweep_t(params: EnergyNetParams, scenes, pool_cfg: PoolConfig, cfg: RefineConfig, t_values,
+            thresholds):
+    """The refinement-iteration sweep: `cfg` with each T of `t_values` in turn.
+
+    Returns one (T, mean 3D AP over `thresholds`, scenes per second of
+    refinement) row per T. Every T fetches each scene again, so a lazy
+    sequence stays lazy.
+    """
+    rows = []
+    for t in t_values:
+        _, refined, gts, seconds = refine_scenes(params, scenes, pool_cfg, replace(cfg, steps=int(t)))
+        res = evaluate(refined, gts, modes=("3d",), thresholds=thresholds, difficulties=("all",))
+        mean_ap = float(np.mean([res[("3d", thr, "all")].ap for thr in thresholds]))
+        rows.append((int(t), mean_ap, len(scenes) / seconds if seconds > 0 else float("inf")))
+    return rows

@@ -153,8 +153,10 @@ def _place_boxes(cfg: SynthConfig, n: int, rng: np.random.Generator) -> list[Box
     boxes: list[Box3D] = []
     attempts = 0
     while len(boxes) < n:
-        if attempts > 200 * n + 200:
-            raise GenerationError(f"could not place {n} boxes with pair IoU < {cfg.max_pair_iou}")
+        if attempts > 200 * n + 200:  # the drawn count is a target, cars_min a floor
+            if len(boxes) >= cfg.cars_min:
+                break
+            raise GenerationError(f"could not place {cfg.cars_min} boxes with pair IoU < {cfg.max_pair_iou}")
         attempts += 1
         cand = Box3D(
             cx=float(rng.uniform(lo, hi)),
@@ -209,6 +211,8 @@ def gen_scene_by_index(cfg: SynthConfig, scene_id: int) -> Scene:
 
 def split_indices(n_scenes: int):
     """Deterministic split: last 20% of ids are validation."""
+    if n_scenes < 1:
+        raise ConfigError("empty dataset requested")
     n_train = n_scenes - n_scenes // 5
     return list(range(n_train)), list(range(n_train, n_scenes))
 
@@ -225,16 +229,6 @@ class LazyScenes:
 
     def __getitem__(self, i) -> Scene:
         return gen_scene_by_index(self.cfg, self.ids[i])
-
-
-def gen_dataset(cfg: SynthConfig, n_scenes: int):
-    """Materialized scenes plus their train/val split labels."""
-    if n_scenes < 1:
-        raise ConfigError("empty dataset requested")
-    scenes = [gen_scene_by_index(cfg, i) for i in range(n_scenes)]
-    train_ids, _ = split_indices(n_scenes)
-    splits = ["train" if i < len(train_ids) else "val" for i in range(n_scenes)]
-    return scenes, splits
 
 
 def save_scene(scene: Scene, path):
@@ -339,6 +333,8 @@ def read_manifest(dataset_dir) -> list[ManifestEntry]:
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"manifest line {lineno}: expected 'id split filename'")
+        if not (parts[0].isascii() and parts[0].isdigit()):
+            raise InputError(f"manifest line {lineno}: scene id {parts[0]!r} is not a number")
         entries.append(ManifestEntry(id=int(parts[0]), split=parts[1], filename=parts[2]))
     return entries
 

@@ -106,16 +106,17 @@ def random_box_row(rng: np.random.Generator) -> np.ndarray:
 
 
 def default_size_setup(rng: np.random.Generator):
-    """Like `small_energy_setup`, but with the default pool, encoder and
-    head sizes, where multi-row BLAS products round rows differently from
-    one-row products."""
+    """Like `small_energy_setup`, but with the default pool and encoder
+    sizes and two 1024-wide head layers, where multi-row BLAS products round
+    rows differently from one-row products."""
     from boxebm.energynet import EnergyNetDims, init_params
     from boxebm.featuregrid import FeatureGrid
     from boxebm.pooling import PoolConfig
 
     cfg = PoolConfig()
     grid = FeatureGrid(rng.normal(size=(16, 16, 16)), origin_x=-4.0, origin_y=-4.0, res=0.5)
-    params = init_params(int(rng.integers(1 << 31)), EnergyNetDims(feat_len=cfg.feature_len(16)))
+    dims = EnergyNetDims(feat_len=cfg.feature_len(16), enc_dim=16, head_dims=(1024, 1024))
+    params = init_params(int(rng.integers(1 << 31)), dims)
     vec = params.to_vector()
     params = params.from_vector(vec + 0.05 * rng.normal(size=vec.size))
     return params, grid, random_box_row(rng), cfg

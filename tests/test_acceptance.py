@@ -16,23 +16,20 @@ import numpy as np
 import pytest
 
 from boxebm.cli import main as cli_main
-from boxebm.config import build_run_config
+from boxebm.config import NoiseConfig, build_run_config
 from boxebm.energynet import (
-    EnergyNetDims,
-    backward_box,
-    forward,
+    box_grad_batch,
     forward_batch,
+    heading_scan,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from boxebm.errors import ConfigError
 from boxebm.evalkit import average_precision, evaluate
 from boxebm.geometry import Box3D, BoxBEV, bev_iou, iou_3d
 from boxebm.kittiio import parse_label_file, write_result_file
-from boxebm.nce import NoiseModel, TrainConfig, nce_loss, train
-from boxebm.pooling import PoolConfig
-from boxebm.refine import Detection, RefineConfig, refine_all, refine_one
+from boxebm.nce import NoiseModel, nce_loss, train
+from boxebm.refine import Detection, RefineConfig, refine_one, refine_scenes, sweep_t
 from boxebm.synthscene import LazyScenes, gen_scene_by_index, load_scene, save_scene
 
 from helpers import aligned_bev_iou, fd_safe_instance, mc_bev_iou, random_bev_box, small_energy_setup
@@ -52,30 +49,18 @@ def bench(tmp_path_factory):
     cfg = build_run_config()
     assert cfg.train.noise_samples == 256
     nm = cfg.noise.build()  # K=3, sigma1 = sigma3/4, sigma2 = sigma3/2, paper sigma3
-    dims = EnergyNetDims(feat_len=cfg.pool.feature_len(cfg.synth.channels),
-                         enc_dim=cfg.net.enc_dim, head_dims=(cfg.net.head1, cfg.net.head2))
     t0 = time.perf_counter()
     tc = replace(cfg.train, epochs=6)
-    trained, records = train(init_params(cfg.seed, dims),
+    trained, records = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),
                              LazyScenes(cfg.synth, range(BENCH_TRAIN)), tc, nm, cfg.pool)
     val = LazyScenes(cfg.synth, range(BENCH_TRAIN, BENCH_TRAIN + BENCH_VAL))
-    dets_initial, dets_refined, gts = {}, {}, {}
-    iou_pairs = []
-    scenes_for_sweep = []
-    for i in range(len(val)):
-        scene = val[i]
-        refined, _ = refine_all(trained, scene.grid, scene.initial_dets, cfg.pool, PAPER_REFINE)
-        dets_initial[scene.id] = scene.initial_dets
-        dets_refined[scene.id] = refined
-        gts[scene.id] = scene.gts
-        for d, r, g in zip(scene.initial_dets, refined, scene.gts):
-            iou_pairs.append((iou_3d(d.box, g.box), iou_3d(r.box, g.box)))
-        if len(scenes_for_sweep) < SWEEP_SCENES:
-            scenes_for_sweep.append(scene)
+    dets_initial, dets_refined, gts, _ = refine_scenes(trained, val, cfg.pool, PAPER_REFINE)
+    iou_pairs = [(iou_3d(d.box, g.box), iou_3d(r.box, g.box)) for sid in gts
+                 for d, r, g in zip(dets_initial[sid], dets_refined[sid], gts[sid])]
     elapsed = time.perf_counter() - t0
     return dict(cfg=cfg, params=trained, records=records, dets_initial=dets_initial,
                 dets_refined=dets_refined, gts=gts, iou_pairs=np.array(iou_pairs),
-                sweep_scenes=scenes_for_sweep, elapsed=elapsed)
+                sweep_scenes=[val[i] for i in range(SWEEP_SCENES)], elapsed=elapsed)
 
 
 def test_criterion_1_gradient_correctness(rng):
@@ -84,15 +69,15 @@ def test_criterion_1_gradient_correctness(rng):
     step = 1e-6
     for _ in range(100):
         params, grid, box, cfg = fd_safe_instance(rng)
-        ev = backward_box(params, grid, Box3D.from_array(box), cfg)
+        grad_box = box_grad_batch(params, grid, box[None, :], cfg)[1][0]
         for d in range(7):
             e = np.zeros(7)
             e[d] = step
-            hi = forward(params, grid, Box3D.from_array(box + e), cfg).value
-            lo = forward(params, grid, Box3D.from_array(box - e), cfg).value
+            hi = forward_batch(params, grid, (box + e)[None, :], cfg)[0][0]
+            lo = forward_batch(params, grid, (box - e)[None, :], cfg)[0][0]
             fd = (hi - lo) / (2 * step)
-            diff = abs(ev.grad_box[d] - fd)
-            assert diff / max(abs(fd), abs(ev.grad_box[d]), 1e-12) < 1e-5 or diff < 1e-8
+            diff = abs(grad_box[d] - fd)
+            assert diff / max(abs(fd), abs(grad_box[d]), 1e-12) < 1e-5 or diff < 1e-8
 
     # parameter gradient of the contrastive loss, 50 sampled parameters
     from types import SimpleNamespace
@@ -101,7 +86,7 @@ def test_criterion_1_gradient_correctness(rng):
         SimpleNamespace(box=Box3D(0.4, -0.3, 0.6, 1.5, 1.6, 3.8, 0.5)),
         SimpleNamespace(box=Box3D(-0.8, 0.7, 0.5, 1.4, 1.7, 4.0, -1.0)),
     ])]
-    nm = NoiseModel.default()
+    nm = NoiseConfig().build()
 
     def loss_at(p):
         return nce_loss(p, scenes, nm, 8, np.random.default_rng(1234), cfg)
@@ -150,12 +135,12 @@ def test_criterion_3_nce_identities(rng):
     assert abs(loss - math.log(m + 1)) < 1e-12
 
     # beta = 0 variant is bit-identical to the plain loss under a shared stream
-    a = nce_loss(params, [scene], NoiseModel.default(beta=0.0), 16, np.random.default_rng(3), cfg)
-    b = nce_loss(params, [scene], NoiseModel.default(), 16, np.random.default_rng(3), cfg)
+    a = nce_loss(params, [scene], NoiseConfig(beta=0.0).build(), 16, np.random.default_rng(3), cfg)
+    b = nce_loss(params, [scene], NoiseConfig().build(), 16, np.random.default_rng(3), cfg)
     assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     # softmax probabilities sum to one: zero gradient for the output bias
-    _, grad = nce_loss(params, [scene], NoiseModel.default(), 64, np.random.default_rng(5), cfg)
+    _, grad = nce_loss(params, [scene], NoiseConfig().build(), 64, np.random.default_rng(5), cfg)
     start, _ = params.param_offsets()["head.2.b"]
     assert abs(grad[start]) < 1e-12
 
@@ -215,24 +200,10 @@ def test_criterion_6_end_to_end_benchmark(bench):
 def test_criterion_7_iteration_sweep(bench):
     """Fig. 5 analog at its 0.7 threshold: plateau after a few iterations,
     strictly decreasing throughput."""
-    cfg = bench["cfg"]
-    params = bench["params"]
-    scenes = bench["sweep_scenes"]
-    aps = {}
-    rates = []
-    for t in (0, 1, 2, 4, 8, 10, 16, 32, 64):
-        rcfg = replace(PAPER_REFINE, steps=t)
-        dets, gts = {}, {}
-        seconds = 0.0
-        for scene in scenes:
-            t0 = time.perf_counter()
-            refined, _ = refine_all(params, scene.grid, scene.initial_dets, cfg.pool, rcfg)
-            seconds += time.perf_counter() - t0
-            dets[scene.id] = refined
-            gts[scene.id] = scene.gts
-        res = evaluate(dets, gts, modes=("3d",), thresholds=(0.7,))
-        aps[t] = res[("3d", 0.7, "all")].ap
-        rates.append(len(scenes) / seconds if seconds > 0 else float("inf"))
+    rows = sweep_t(bench["params"], bench["sweep_scenes"], bench["cfg"].pool, PAPER_REFINE,
+                   (0, 1, 2, 4, 8, 10, 16, 32, 64), thresholds=(0.7,))
+    aps = {t: ap for t, ap, _ in rows}
+    rates = [rate for _, _, rate in rows]
     assert abs(aps[4] - aps[10]) <= 0.005, aps
     assert abs(aps[64] - aps[10]) <= 0.005, aps
     assert aps[10] > aps[0]  # refinement is doing real work at this threshold
@@ -243,10 +214,8 @@ def test_criterion_8_heading_multimodality():
     """Symmetric rendering induces exactly two dominant heading modes."""
     overrides = {"synth.symmetric_rendering": "true"}
     cfg = build_run_config({}, overrides)
-    dims = EnergyNetDims(feat_len=cfg.pool.feature_len(cfg.synth.channels),
-                         enc_dim=cfg.net.enc_dim, head_dims=(cfg.net.head1, cfg.net.head2))
-    trained, _ = train(init_params(cfg.seed, dims), LazyScenes(cfg.synth, range(600)),
-                       cfg.train, cfg.noise.build(), cfg.pool)
+    trained, _ = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),
+                       LazyScenes(cfg.synth, range(600)), cfg.train, cfg.noise.build(), cfg.pool)
     val = LazyScenes(cfg.synth, range(600, 605))
 
     def circ_dist(a, b):
@@ -254,11 +223,8 @@ def test_criterion_8_heading_multimodality():
 
     for i in range(3):
         scene = val[i]
-        base = scene.initial_dets[0].box.as_array()
-        deltas = np.linspace(0.0, 2.0 * math.pi, 101)
-        boxes = np.tile(base, (101, 1))
-        boxes[:, 6] += deltas
-        values, _ = forward_batch(trained, scene.grid, boxes, cfg.pool)
+        deltas, values = heading_scan(trained, scene.grid, scene.initial_dets[0].box.as_array(),
+                                      cfg.pool, 101)
         v = values[:-1]  # drop duplicated 2*pi endpoint; wraparound maxima
         n = len(v)
         maxima = [k for k in range(n) if v[k] > v[(k - 1) % n] and v[k] > v[(k + 1) % n]]

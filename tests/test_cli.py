@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +437,30 @@ class TestMalformedInputs:
             assert err.startswith(("error:config:", "error:input:")), (cut, err)
             assert err.count("\n") == 1, (cut, err)
 
+    @pytest.mark.parametrize("command,setting", [
+        ("train", "train.epochs=0"),
+        ("train", "train.batch_size=0"),
+        ("angle-scan", "angle_points=-1"),
+        ("eval", "eval.thresholds=nan"),
+    ])
+    def test_out_of_range_config_value(self, pipeline, tmp_path, capsys, command, setting):
+        data, runout = pipeline
+        extra = ["--scene-id", "5"] if command == "angle-scan" else []
+        assert run([command, *TINY, "--set", setting, "--dataset", str(data),
+                    "--checkpoint", str(runout / "checkpoint.ckpt"), *extra,
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        key = setting.split("=")[0].split(".")[-1]
+        assert err.startswith("error:config:") and key in err and err.count("\n") == 1
+
+    def test_non_numeric_manifest_id(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        self.tiny_dataset(data)
+        (data / "manifest.txt").write_text("abc val scene_000000.bin\n")
+        assert run(["eval", "--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and "manifest line 1" in err
+
     def test_truncated_scene_file_at_every_offset(self, tmp_path, capsys):
         data = tmp_path / "data"
         path = self.tiny_dataset(data)
@@ -445,3 +471,18 @@ class TestMalformedInputs:
             err = capsys.readouterr().err
             assert err.startswith("error:input:"), (cut, err)
             assert err.count("\n") == 1, (cut, err)
+
+
+class TestScripts:
+    """Both experiment scripts run end to end at tiny sizes."""
+
+    @pytest.mark.parametrize("script,header", [
+        ("run_benchmark.py", "AP initial"),
+        ("run_analysis_sweeps.py", "mean 3D AP"),
+    ])
+    def test_runs(self, script, header):
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        done = subprocess.run([sys.executable, str(path), "--train-scenes", "2", "--val-scenes", "1",
+                               "--epochs", "1"], capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert header in done.stdout

@@ -5,18 +5,15 @@ import pytest
 
 from boxebm.energynet import (
     EnergyNetDims,
-    backward_box,
-    backward_params,
     box_grad_batch,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    weighted_param_grad,
 )
 from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
-from boxebm.geometry import Box3D
 from boxebm.pooling import PoolConfig
 from helpers import default_size_setup, fd_safe_instance, small_energy_setup
 
@@ -50,16 +47,16 @@ class TestInit:
 class TestForward:
     def test_zero_params_give_zero(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
-        ev = forward(zeroed(params), grid, Box3D.from_array(box), cfg)
-        assert ev.value == 0.0
+        values, _ = forward_batch(zeroed(params), grid, box[None, :], cfg)
+        assert values[0] == 0.0
 
     def test_constant_network(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         vec = np.zeros(params.n_params)
         params = params.from_vector(vec)
         params.head[2].b[0] = -3.75
-        ev = forward(params, grid, Box3D.from_array(box), cfg)
-        assert ev.value == -3.75
+        values, _ = forward_batch(params, grid, box[None, :], cfg)
+        assert values[0] == -3.75
 
     def test_hand_unrolled_small_instance(self):
         # 2x2x1 grid, 1x1 pooling: every number below is reproduced by
@@ -87,7 +84,7 @@ class TestForward:
         params.head[2].b[:] = [0.5]
 
         cz, h = 0.3, 1.2
-        box = Box3D(0.4, 0.6, cz, h, w=1.0, l=1.0, yaw=0.0)
+        box = np.array([0.4, 0.6, cz, h, 1.0, 1.0, 0.0])  # cx, cy, cz, h, w, l, yaw
 
         pool = (1 - 0.4) * (1 - 0.6) * a00 + 0.4 * (1 - 0.6) * a10 \
             + (1 - 0.4) * 0.6 * a01 + 0.4 * 0.6 * a11
@@ -105,27 +102,26 @@ class TestForward:
         a2b = max(0.5 * a1a + 0.25 * a1b + 0.3, 0.0)
         expected = 2.0 * a2a - 1.0 * a2b + 0.5
 
-        ev = forward(params, grid, box, cfg)
-        assert ev.value == pytest.approx(expected, abs=1e-14)
+        values, _ = forward_batch(params, grid, box[None, :], cfg)
+        assert values[0] == pytest.approx(expected, abs=1e-14)
 
     def test_periodicity_in_yaw(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         shifted = box.copy()
         shifted[6] += 2 * math.pi
-        v1 = forward(params, grid, Box3D.from_array(box), cfg).value
-        v2 = forward(params, grid, Box3D.from_array(shifted), cfg).value
-        assert v2 == pytest.approx(v1, abs=1e-9)
+        values, _ = forward_batch(params, grid, np.stack([box, shifted]), cfg)
+        assert values[1] == pytest.approx(values[0], abs=1e-9)
 
     def test_dimension_mismatch_raises(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         with pytest.raises(ConfigError):
-            forward(params, grid, Box3D.from_array(box), PoolConfig(3, 3))
+            forward_batch(params, grid, box[None, :], PoolConfig(3, 3))
 
     def test_nonfinite_raises_with_layer(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         params.head[1].W[0, 0] = np.inf
         with pytest.raises(NumericError, match="head.1"):
-            forward(params, grid, Box3D.from_array(box), cfg)
+            forward_batch(params, grid, box[None, :], cfg)
 
 
 class TestBackwardBox:
@@ -133,63 +129,64 @@ class TestBackwardBox:
         params, grid, box, cfg = small_energy_setup(rng)
         params = zeroed(params)
         params.head[2].b[0] = 1.0
-        ev = backward_box(params, grid, Box3D.from_array(box), cfg)
-        assert np.array_equal(ev.grad_box, np.zeros(7))
+        _, grads = box_grad_batch(params, grid, box[None, :], cfg)
+        assert np.array_equal(grads[0], np.zeros(7))
 
     def test_matches_finite_differences(self, rng):
         step = 1e-6
         for _ in range(25):
             params, grid, box, cfg = fd_safe_instance(rng)
-            ev = backward_box(params, grid, Box3D.from_array(box), cfg)
+            grad = box_grad_batch(params, grid, box[None, :], cfg)[1][0]
+            # rows box + step * e_d, then box - step * e_d; per-row products
+            # give each row its one-box value
+            shifts = step * np.eye(7)
+            values, _ = forward_batch(params, grid, np.vstack([box + shifts, box - shifts]), cfg,
+                                      per_row=True)
             for d in range(7):
-                e = np.zeros(7)
-                e[d] = step
-                hi = forward(params, grid, Box3D.from_array(box + e), cfg).value
-                lo = forward(params, grid, Box3D.from_array(box - e), cfg).value
-                fd = (hi - lo) / (2 * step)
-                diff = abs(ev.grad_box[d] - fd)
-                rel = diff / max(abs(fd), abs(ev.grad_box[d]), 1e-12)
-                assert rel < 1e-5 or diff < 1e-8, f"component {d}: {ev.grad_box[d]} vs {fd}"
+                fd = (values[d] - values[7 + d]) / (2 * step)
+                diff = abs(grad[d] - fd)
+                rel = diff / max(abs(fd), abs(grad[d]), 1e-12)
+                assert rel < 1e-5 or diff < 1e-8, f"component {d}: {grad[d]} vs {fd}"
 
     def test_value_bit_identical_to_forward(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
-        b = Box3D.from_array(box)
-        assert backward_box(params, grid, b, cfg).value == forward(params, grid, b, cfg).value
+        values, _ = box_grad_batch(params, grid, box[None, :], cfg)
+        assert values[0] == forward_batch(params, grid, box[None, :], cfg)[0][0]
 
     def test_grad_periodicity(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         box[6] = 0.0
         shifted = box.copy()
         shifted[6] = 2 * math.pi  # fl(0 + 2*pi) round-trips exactly through trig args
-        g1 = backward_box(params, grid, Box3D.from_array(box), cfg).grad_box
-        g2 = backward_box(params, grid, Box3D.from_array(shifted), cfg).grad_box
-        assert np.allclose(g1, g2, atol=1e-9)
+        _, grads = box_grad_batch(params, grid, np.stack([box, shifted]), cfg)
+        assert np.allclose(grads[0], grads[1], atol=1e-9)
 
 
 class TestBackwardParams:
     def test_last_layer_bias_grad_is_one(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
-        ev = backward_params(params, grid, Box3D.from_array(box), cfg)
+        _, cache = forward_batch(params, grid, box[None, :], cfg)
+        grad = weighted_param_grad(params, cache, np.ones(1))
         names = [n for n, _ in params.named_tensors()]
         offsets = np.cumsum([0] + [a.size for _, a in params.named_tensors()])
         idx = names.index("head.2.b")
-        assert ev.grad_params[offsets[idx]] == 1.0
+        assert grad[offsets[idx]] == 1.0
 
     def test_matches_finite_differences(self, rng):
         step = 1e-6
         for _ in range(4):
             params, grid, box, cfg = fd_safe_instance(rng)
-            b = Box3D.from_array(box)
-            ev = backward_params(params, grid, b, cfg)
+            _, cache = forward_batch(params, grid, box[None, :], cfg)
+            grad = weighted_param_grad(params, cache, np.ones(1))
             vec = params.to_vector()
             for idx in rng.choice(vec.size, size=50, replace=False):
                 e = np.zeros(vec.size)
                 e[idx] = step
-                hi = forward(params.from_vector(vec + e), grid, b, cfg).value
-                lo = forward(params.from_vector(vec - e), grid, b, cfg).value
-                fd = (hi - lo) / (2 * step)
-                diff = abs(ev.grad_params[idx] - fd)
-                rel = diff / max(abs(fd), abs(ev.grad_params[idx]), 1e-12)
+                hi, _ = forward_batch(params.from_vector(vec + e), grid, box[None, :], cfg)
+                lo, _ = forward_batch(params.from_vector(vec - e), grid, box[None, :], cfg)
+                fd = (hi[0] - lo[0]) / (2 * step)
+                diff = abs(grad[idx] - fd)
+                rel = diff / max(abs(fd), abs(grad[idx]), 1e-12)
                 assert rel < 1e-5 or diff < 1e-8
 
     def test_zero_features_zero_first_layer_weight_grad(self, rng):
@@ -203,27 +200,27 @@ class TestBackwardParams:
         params.head[0].b[:] = 0.5  # keep the head active
         params.head[1].b[:] = 0.5
         params.head[2].W[:] = 1.0
-        ev = backward_params(params, grid, Box3D.from_array(box), cfg)
+        _, cache = forward_batch(params, grid, box[None, :], cfg)
+        grad = weighted_param_grad(params, cache, np.ones(1))
         sizes = {n: a.size for n, a in params.named_tensors()}
         offsets = {}
         pos = 0
         for n, a in params.named_tensors():
             offsets[n] = pos
             pos += a.size
-        w_grad = ev.grad_params[offsets["head.0.W"]:offsets["head.0.W"] + sizes["head.0.W"]]
+        w_grad = grad[offsets["head.0.W"]:offsets["head.0.W"] + sizes["head.0.W"]]
         assert np.array_equal(w_grad, np.zeros_like(w_grad))
 
 
 class TestLinearity:
     def test_output_layer_scaling_exact_for_pow2(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
-        b = Box3D.from_array(box)
-        base = backward_box(params, grid, b, cfg)
+        base_value, base_grad = box_grad_batch(params, grid, box[None, :], cfg)
         params.head[2].W *= 2.0
         params.head[2].b *= 2.0
-        scaled = backward_box(params, grid, b, cfg)
-        assert scaled.value == 2.0 * base.value
-        assert np.array_equal(scaled.grad_box, 2.0 * base.grad_box)
+        scaled_value, scaled_grad = box_grad_batch(params, grid, box[None, :], cfg)
+        assert scaled_value[0] == 2.0 * base_value[0]
+        assert np.array_equal(scaled_grad, 2.0 * base_grad)
 
 
 class TestBatchConsistency:

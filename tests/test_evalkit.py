@@ -13,11 +13,9 @@ from boxebm.evalkit import (
     GroundTruth,
     average_precision,
     evaluate,
-    iou_fn_for_mode,
-    match_greedy,
 )
 from boxebm.evalkit import _match_scene
-from boxebm.geometry import Box3D, iou_3d
+from boxebm.geometry import Box3D, bev_iou, iou_3d, iou_matrix, to_bev
 from boxebm.refine import Detection
 
 
@@ -33,14 +31,23 @@ def gt_at(cx, cy, **kw):
     return GroundTruth(box=car_at(cx, cy, **kw))
 
 
+def match_greedy(dets, gts, threshold, difficulty=None):
+    """Labels of one scene's detections at one threshold, in input order,
+    from the matching kernel `evaluate` runs on the 3D IoU matrix."""
+    scores = np.array([d.score for d in dets])
+    iou = iou_matrix([d.box for d in dets], [gt.box for gt in gts], "3d")
+    valid = np.array([[gt.passes(difficulty) for gt in gts]], dtype=bool)
+    return _match_scene(scores, iou, [threshold], valid)[0, 0]
+
+
 class TestMatchGreedy:
     def test_exact_hit(self):
-        labels = match_greedy([det_at(0, 0, 0.9)], [gt_at(0, 0)], iou_3d, 0.7)
+        labels = match_greedy([det_at(0, 0, 0.9)], [gt_at(0, 0)], 0.7)
         assert labels.tolist() == [TP]
 
     def test_two_dets_one_gt(self):
         dets = [det_at(0, 0, 0.6), det_at(0.05, 0, 0.9)]
-        labels = match_greedy(dets, [gt_at(0, 0)], iou_3d, 0.7)
+        labels = match_greedy(dets, [gt_at(0, 0)], 0.7)
         # higher-scored detection claims the ground truth
         assert labels.tolist() == [FP, TP]
 
@@ -50,25 +57,25 @@ class TestMatchGreedy:
         loose = [det_at(0.30, 0, 0.9)]
         gt = [gt_at(0, 0)]
         assert iou_3d(loose[0].box, gt[0].box.box if False else gt[0].box) > 0.7
-        la = match_greedy(tight, gt, iou_3d, 0.7)
-        lb = match_greedy(loose, gt, iou_3d, 0.7)
+        la = match_greedy(tight, gt, 0.7)
+        lb = match_greedy(loose, gt, 0.7)
         assert la.tolist() == lb.tolist() == [TP]
 
     def test_each_gt_used_once(self):
         dets = [det_at(0, 0, 0.9), det_at(0.02, 0, 0.8), det_at(10, 0, 0.7)]
         gts = [gt_at(0, 0), gt_at(10, 0)]
-        labels = match_greedy(dets, gts, iou_3d, 0.7)
+        labels = match_greedy(dets, gts, 0.7)
         assert labels.tolist() == [TP, FP, TP]
 
     def test_ignored_gt(self):
         gts = [GroundTruth(box=car_at(0, 0), bbox_height=10.0, occlusion=3, truncation=0.9)]
         dets = [det_at(0, 0, 0.9)]
-        labels = match_greedy(dets, gts, iou_3d, 0.7, difficulty="moderate")
+        labels = match_greedy(dets, gts, 0.7, difficulty="moderate")
         assert labels.tolist() == [IGNORED]
 
     def test_score_ties_broken_by_input_order(self):
         dets = [det_at(0, 0, 0.5), det_at(0.05, 0, 0.5)]
-        labels = match_greedy(dets, [gt_at(0, 0)], iou_3d, 0.5)
+        labels = match_greedy(dets, [gt_at(0, 0)], 0.5)
         assert labels.tolist() == [TP, FP]
 
 
@@ -135,7 +142,7 @@ class TestMatchKernel:
         thresholds = (0.5, 0.7)
         out = evaluate(dets, gts, modes=("3d", "bev"), thresholds=thresholds, difficulties=diffs)
         for mode in ("3d", "bev"):
-            iou_fn = iou_fn_for_mode(mode)
+            iou_fn = iou_3d if mode == "3d" else lambda a, b: bev_iou(to_bev(a), to_bev(b))
             for diff in diffs:
                 for thr in thresholds:
                     flags, scores, num_gt = [], [], 0
@@ -294,4 +301,4 @@ class TestEvaluate:
 
 def test_mode_validation():
     with pytest.raises(InputError):
-        iou_fn_for_mode("2d")
+        evaluate({0: [det_at(0, 0, 0.9)]}, {0: [gt_at(0, 0)]}, modes=("2d",))

@@ -9,8 +9,8 @@ from boxebm.geometry import Box3D, BoxBEV, bev_corners, bev_iou, iou_3d, iou_mat
 from helpers import aligned_bev_iou, mc_bev_iou, random_bev_box
 
 
-def corners_set(poly):
-    return sorted(map(tuple, np.round(poly.vertices, 9)))
+def corners_set(corners):
+    return sorted(map(tuple, np.round(corners, 9)))
 
 
 box_bev_st = st.builds(
@@ -67,7 +67,7 @@ class TestBevCorners:
     @given(box_bev_st)
     @settings(max_examples=50, deadline=None)
     def test_ccw_and_area(self, box):
-        v = bev_corners(box).vertices
+        v = bev_corners(box)
         x, y = v[:, 0], v[:, 1]
         signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         assert signed > 0

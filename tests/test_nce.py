@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from boxebm.config import NoiseConfig
 from boxebm.energynet import EnergyNetDims, init_params
 from boxebm.errors import ConfigError
 from boxebm.featuregrid import FeatureGrid
@@ -12,12 +13,9 @@ from boxebm.nce import (
     LossRecord,
     NoiseModel,
     TrainConfig,
-    default_sigma3,
-    log_q,
     logit_loss,
     nce_loss,
     noise_log_density_rows,
-    sample_noise,
     sample_noise_rows,
     train,
 )
@@ -25,6 +23,7 @@ from boxebm.pooling import PoolConfig
 from helpers import small_energy_setup
 
 CAR = Box3D(0.0, 0.0, 0.5, h=1.5, w=1.6, l=3.9, yaw=0.3)
+SIGMA3 = np.array(NoiseConfig().sigma3)
 
 
 def tiny_scene(grid, boxes, scene_id=0):
@@ -41,8 +40,8 @@ def bump_grid(center=(0.0, 0.0), size=(14, 14), res=0.5, origin=-3.5):
 
 class TestNoiseModel:
     def test_paper_default_scales(self):
-        nm = NoiseModel.default()
-        s3 = default_sigma3()
+        nm = NoiseConfig().build()
+        s3 = SIGMA3
         assert nm.n_components == 3
         assert np.array_equal(nm.sigma[2], s3)
         assert np.array_equal(nm.sigma[0], s3 / 4)
@@ -61,17 +60,17 @@ class TestNoiseModel:
 class TestSampleNoise:
     def test_degenerate_scales_return_center(self):
         nm = NoiseModel(sigma=np.full((2, 7), 1e-12))
-        out = sample_noise(nm, CAR, np.random.default_rng(0))
-        assert np.allclose(out.as_array(), CAR.as_array(), atol=1e-9)
+        out = sample_noise_rows(nm, CAR.as_array(), np.random.default_rng(0), 1)[0]
+        assert np.allclose(out, CAR.as_array(), atol=1e-9)
 
     def test_deterministic(self):
-        nm = NoiseModel.default()
-        a = [sample_noise(nm, CAR, np.random.default_rng(5)).as_array() for _ in range(1)]
-        b = [sample_noise(nm, CAR, np.random.default_rng(5)).as_array() for _ in range(1)]
+        nm = NoiseConfig().build()
+        a = sample_noise_rows(nm, CAR.as_array(), np.random.default_rng(5), 1)
+        b = sample_noise_rows(nm, CAR.as_array(), np.random.default_rng(5), 1)
         assert np.array_equal(a, b)
 
     def test_mixture_variance_identity(self):
-        nm = NoiseModel.default()
+        nm = NoiseConfig().build()
         n = 100_000
         rows = sample_noise_rows(nm, CAR.as_array(), np.random.default_rng(77), n)
         d = rows - CAR.as_array()
@@ -92,17 +91,19 @@ class TestLogQ:
     def test_single_component_mode_value(self):
         s = 0.2
         nm = NoiseModel(sigma=np.full((1, 7), s))
-        assert log_q(nm, CAR, CAR) == pytest.approx(-7 * math.log(s * math.sqrt(2 * math.pi)), abs=1e-12)
+        center = CAR.as_array()
+        log_q = noise_log_density_rows(nm, center[None, :], center)[0]
+        assert log_q == pytest.approx(-7 * math.log(s * math.sqrt(2 * math.pi)), abs=1e-12)
 
     def test_duplicate_components_collapse(self):
-        s3 = default_sigma3()
-        one = NoiseModel(sigma=s3[None, :])
-        two = NoiseModel(sigma=np.stack([s3, s3]))
-        y = Box3D(0.1, -0.2, 0.55, 1.45, 1.7, 3.8, 0.35)
-        assert log_q(two, y, CAR) == pytest.approx(log_q(one, y, CAR), abs=1e-12)
+        one = NoiseModel(sigma=SIGMA3[None, :])
+        two = NoiseModel(sigma=np.stack([SIGMA3, SIGMA3]))
+        y = np.array([[0.1, -0.2, 0.55, 1.45, 1.7, 3.8, 0.35]])
+        assert noise_log_density_rows(two, y, CAR.as_array())[0] == pytest.approx(
+            noise_log_density_rows(one, y, CAR.as_array())[0], abs=1e-12)
 
     def test_matches_naive_summation(self, rng):
-        nm = NoiseModel.default()
+        nm = NoiseConfig().build()
         center = CAR.as_array()
         for _ in range(20):
             y = center + rng.normal(scale=0.1, size=7)
@@ -142,7 +143,7 @@ class TestNceLoss:
     def test_loss_nonnegative(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         scene = tiny_scene(grid, [Box3D.from_array(box)])
-        loss, _ = nce_loss(params, [scene], NoiseModel.default(), 8, np.random.default_rng(1), cfg)
+        loss, _ = nce_loss(params, [scene], NoiseConfig().build(), 8, np.random.default_rng(1), cfg)
         assert loss >= 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -151,7 +152,7 @@ class TestNceLoss:
             tiny_scene(grid, [CAR, Box3D(-1.0, 0.5, 0.6, 1.4, 1.5, 3.5, -0.8)], 0),
             tiny_scene(grid, [Box3D(0.8, -0.9, 0.4, 1.6, 1.7, 4.0, 1.2)], 1),
         ]
-        nm = NoiseModel.default()
+        nm = NoiseConfig().build()
         m = 4
 
         def loss_at(p):
@@ -173,9 +174,9 @@ class TestNceLoss:
     def test_beta_zero_bit_identical_to_plain(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         scene = tiny_scene(grid, [Box3D.from_array(box)])
-        plain = nce_loss(params, [scene], NoiseModel.default(beta=0.0), 8,
+        plain = nce_loss(params, [scene], NoiseConfig(beta=0.0).build(), 8,
                          np.random.default_rng(7), cfg)
-        also_plain = nce_loss(params, [scene], NoiseModel.default(), 8,
+        also_plain = nce_loss(params, [scene], NoiseConfig().build(), 8,
                               np.random.default_rng(7), cfg)
         assert plain[0] == also_plain[0]
         assert np.array_equal(plain[1], also_plain[1])
@@ -183,14 +184,14 @@ class TestNceLoss:
     def test_beta_positive_perturbs_positive(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         scene = tiny_scene(grid, [Box3D.from_array(box)])
-        a = nce_loss(params, [scene], NoiseModel.default(beta=0.0), 8, np.random.default_rng(7), cfg)
-        b = nce_loss(params, [scene], NoiseModel.default(beta=1.0), 8, np.random.default_rng(7), cfg)
+        a = nce_loss(params, [scene], NoiseConfig(beta=0.0).build(), 8, np.random.default_rng(7), cfg)
+        b = nce_loss(params, [scene], NoiseConfig(beta=1.0).build(), 8, np.random.default_rng(7), cfg)
         assert a[0] != b[0]
 
     def test_shift_invariance_in_output_bias(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         scene = tiny_scene(grid, [CAR, Box3D.from_array(box)])
-        nm = NoiseModel.default()
+        nm = NoiseConfig().build()
         base, _ = nce_loss(params, [scene], nm, 16, np.random.default_rng(3), cfg)
         params.head[2].b[0] += 12.5
         shifted, _ = nce_loss(params, [scene], nm, 16, np.random.default_rng(3), cfg)
@@ -199,7 +200,7 @@ class TestNceLoss:
     def test_output_bias_gradient_is_zero(self, rng):
         params, grid, box, cfg = small_energy_setup(rng)
         scene = tiny_scene(grid, [CAR, Box3D.from_array(box)])
-        _, grad = nce_loss(params, [scene], NoiseModel.default(), 16, np.random.default_rng(3), cfg)
+        _, grad = nce_loss(params, [scene], NoiseConfig().build(), 16, np.random.default_rng(3), cfg)
         start, _ = params.param_offsets()["head.2.b"]
         assert abs(grad[start]) < 1e-12
 
@@ -227,17 +228,17 @@ class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         params, dataset = self.make_setup()
         cfg = TrainConfig(noise_samples=4, learning_rate=0.0, batch_size=1, epochs=2, seed=0)
-        trained, _ = train(params, dataset, cfg, NoiseModel.default(), PoolConfig(2, 3))
+        trained, _ = train(params, dataset, cfg, NoiseConfig().build(), PoolConfig(2, 3))
         assert np.array_equal(trained.to_vector(), params.to_vector())
 
     def test_seeded_reproducibility(self):
         params, dataset = self.make_setup()
         cfg = TrainConfig(noise_samples=4, learning_rate=1e-3, batch_size=1, epochs=5, seed=9)
-        _, rec_a = train(params, dataset, cfg, NoiseModel.default(), PoolConfig(2, 3))
-        _, rec_b = train(params, dataset, cfg, NoiseModel.default(), PoolConfig(2, 3))
+        _, rec_a = train(params, dataset, cfg, NoiseConfig().build(), PoolConfig(2, 3))
+        _, rec_b = train(params, dataset, cfg, NoiseConfig().build(), PoolConfig(2, 3))
         assert [r.loss for r in rec_a] == [r.loss for r in rec_b]
 
     def test_empty_dataset_rejected(self):
         params, _ = self.make_setup()
         with pytest.raises(ConfigError):
-            train(params, [], TrainConfig(), NoiseModel.default(), PoolConfig(2, 3))
+            train(params, [], TrainConfig(), NoiseConfig().build(), PoolConfig(2, 3))

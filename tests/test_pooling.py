@@ -6,7 +6,7 @@ import pytest
 from boxebm.errors import ConfigError
 from boxebm.featuregrid import FeatureGrid
 from boxebm.geometry import BoxBEV
-from boxebm.pooling import PoolConfig, concat_feature, grid_points, pool_bev, pool_bev_batch
+from boxebm.pooling import PoolConfig, grid_points, pool_bev_batch
 
 
 def make_grid(rng, w=16, l=16, c=3, res=0.5, ox=-4.0, oy=-4.0):
@@ -50,22 +50,23 @@ class TestGridPoints:
 class TestPoolBev:
     def test_constant_grid(self):
         g = FeatureGrid(np.full((8, 8, 2), 3.5), -2.0, -2.0, 0.5)
-        pooled = pool_bev(g, BoxBEV(0.0, 0.0, 1.0, 2.0, 0.3), PoolConfig(2, 3))
-        assert pooled.values.shape == (2 * 3 * 2,)
-        assert np.allclose(pooled.values, 3.5, atol=1e-12)
-        assert np.allclose(pooled.jac, 0.0, atol=1e-12)
+        box = np.array([[0.0, 0.0, 1.0, 2.0, 0.3]])
+        values, jac = pool_bev_batch(g, box, PoolConfig(2, 3), with_jac=True)
+        assert values.shape == (1, 2 * 3 * 2)
+        assert np.allclose(values, 3.5, atol=1e-12)
+        assert np.allclose(jac, 0.0, atol=1e-12)
 
     def test_pi_rotation_distinguishable(self, rng):
         g = make_grid(rng)
         cfg = PoolConfig(2, 3)
-        a = pool_bev(g, BoxBEV(0.2, 0.1, 1.5, 3.0, 0.4), cfg, with_jac=False)
-        b = pool_bev(g, BoxBEV(0.2, 0.1, 1.5, 3.0, 0.4 + math.pi), cfg, with_jac=False)
-        assert not np.allclose(a.values, b.values, atol=1e-6)
+        (a, b), _ = pool_bev_batch(g, np.array([[0.2, 0.1, 1.5, 3.0, 0.4],
+                                                [0.2, 0.1, 1.5, 3.0, 0.4 + math.pi]]), cfg)
+        assert not np.allclose(a, b, atol=1e-6)
 
     def test_feature_length_default(self, rng):
         g = make_grid(rng, c=4)
-        pooled = pool_bev(g, BoxBEV(0, 0, 1.5, 3.5, 0.2), PoolConfig(4, 7), with_jac=False)
-        assert pooled.values.shape == (4 * 7 * 4,)
+        values, _ = pool_bev_batch(g, np.array([[0, 0, 1.5, 3.5, 0.2]]), PoolConfig(4, 7))
+        assert values.shape == (1, 4 * 7 * 4)
 
     def test_flattening_order(self):
         # value at sample (i, j) channel c must land at ((j*W' + i)*C + c)
@@ -77,12 +78,12 @@ class TestPoolBev:
         cfg = PoolConfig(grid_w=2, grid_l=3)
         box = BoxBEV(5.0, 6.0, w=2.0, l=3.0, yaw=0.0)
         pts, _ = grid_points(box, cfg)
-        pooled = pool_bev(g, box, cfg, with_jac=False)
+        (pooled,), _ = pool_bev_batch(g, box.as_array()[None, :], cfg)
         for i in range(2):
             for j in range(3):
                 base = (j * 2 + i) * c
-                assert pooled.values[base + 0] == pytest.approx(pts[i, j, 0], abs=1e-12)
-                assert pooled.values[base + 1] == pytest.approx(pts[i, j, 1], abs=1e-12)
+                assert pooled[base + 0] == pytest.approx(pts[i, j, 0], abs=1e-12)
+                assert pooled[base + 1] == pytest.approx(pts[i, j, 1], abs=1e-12)
 
     def test_shift_equivariance_exact_for_dyadic_offsets(self, rng):
         data = rng.normal(size=(16, 16, 2))
@@ -92,10 +93,10 @@ class TestPoolBev:
         g2 = FeatureGrid(data, -2.0 + offset, -2.0 + offset, res)
         box1 = BoxBEV(0.5, -0.25, 1.5, 3.0, 0.375)
         box2 = BoxBEV(0.5 + offset, -0.25 + offset, 1.5, 3.0, 0.375)
-        a = pool_bev(g1, box1, PoolConfig(2, 3), with_jac=False)
-        b = pool_bev(g2, box2, PoolConfig(2, 3), with_jac=False)
+        a, _ = pool_bev_batch(g1, box1.as_array()[None, :], PoolConfig(2, 3))
+        b, _ = pool_bev_batch(g2, box2.as_array()[None, :], PoolConfig(2, 3))
         # identical up to the rounding of the two shifted additions
-        assert np.allclose(a.values, b.values, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_jacobian_matches_finite_differences(self, rng):
         cfg = PoolConfig(2, 3)
@@ -124,27 +125,6 @@ class TestPoolBev:
                 rel = diff / np.maximum(np.maximum(np.abs(fd), np.abs(jac[0][:, p])), 1e-12)
                 # near-zero gradients are dominated by fd roundoff; accept on abs error
                 assert np.all((rel < 1e-5) | (diff < 1e-8))
-
-
-class TestConcatFeature:
-    def test_lengths_and_layout(self):
-        h4 = np.arange(12.0)
-        gz = np.full(4, -1.0)
-        gh = np.full(4, 2.0)
-        out = concat_feature(h4, gz, gh, enc_dim=4)
-        assert out.shape == (20,)
-        assert out[12] == gz[0]
-        assert out[16] == gh[0]
-
-    def test_zeros(self):
-        out = concat_feature(np.zeros(6), np.zeros(2), np.zeros(2))
-        assert np.array_equal(out, np.zeros(10))
-
-    def test_mismatch_raises(self):
-        with pytest.raises(ConfigError):
-            concat_feature(np.zeros(6), np.zeros(3), np.zeros(2))
-        with pytest.raises(ConfigError):
-            concat_feature(np.zeros(6), np.zeros(3), np.zeros(3), enc_dim=4)
 
 
 def test_pool_config_validation():

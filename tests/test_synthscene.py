@@ -11,7 +11,6 @@ from boxebm.synthscene import (
     LazyScenes,
     Scene,
     SynthConfig,
-    gen_dataset,
     gen_scene_by_index,
     load_scene,
     read_manifest,
@@ -93,6 +92,16 @@ class TestGenScene:
         with pytest.raises(GenerationError):
             gen_scene_by_index(cfg, 0)
 
+    def test_crowded_world_keeps_the_boxes_that_fit(self):
+        # a 3.75 m world: the drawn count is a target, cars_min the floor
+        cfg = replace(TEST_CFG, grid_w=16, grid_l=16, margin=1.0, cars_min=0, cars_max=40)
+        drawn = int(scene_rng(cfg, 0).integers(cfg.cars_min, cfg.cars_max + 1))
+        scene = gen_scene_by_index(cfg, 0)
+        assert 0 < len(scene.gts) < drawn
+        assert len(scene.initial_dets) == len(scene.gts)
+        with pytest.raises(GenerationError):
+            gen_scene_by_index(replace(cfg, cars_min=3), 0)  # at most two fit
+
 
 class TestRenderFeatures:
     def noise_free(self, **kw):
@@ -154,13 +163,13 @@ class TestDataset:
         assert set(train) | set(val) == set(range(10))
 
     def test_gen_dataset(self):
-        scenes, splits = gen_dataset(TEST_CFG, 5)
-        assert [s.id for s in scenes] == [0, 1, 2, 3, 4]
-        assert splits == ["train"] * 4 + ["val"]
+        scenes = LazyScenes(TEST_CFG, range(5))
+        assert [scenes[i].id for i in range(5)] == [0, 1, 2, 3, 4]
+        assert split_indices(5) == ([0, 1, 2, 3], [4])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty dataset requested"):
-            gen_dataset(TEST_CFG, 0)
+            split_indices(0)
 
     def test_seeds_differ(self):
         a = gen_scene_by_index(TEST_CFG, 0)
@@ -168,7 +177,7 @@ class TestDataset:
         assert not scenes_equal(a, b)
 
     def test_lazy_matches_materialized(self):
-        scenes, _ = gen_dataset(TEST_CFG, 3)
+        scenes = [gen_scene_by_index(TEST_CFG, i) for i in range(3)]
         lazy = LazyScenes(TEST_CFG, range(3))
         assert len(lazy) == 3
         for a, i in zip(scenes, range(3)):
@@ -186,7 +195,8 @@ class TestSceneFiles:
         assert path.read_bytes() == (tmp_path / "scene2.bin").read_bytes()
 
     def test_dataset_round_trip(self, tmp_path):
-        scenes, splits = gen_dataset(TEST_CFG, 5)
+        scenes = [gen_scene_by_index(TEST_CFG, i) for i in range(5)]
+        splits = ["train"] * 4 + ["val"]
         save_dataset(scenes, splits, tmp_path)
         entries = read_manifest(tmp_path)
         assert [e.id for e in entries] == [0, 1, 2, 3, 4]
