@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from boxebm.config import build_run_config, resolved_line
 from boxebm.energynet import init_params, save_checkpoint
-from boxebm.evalkit import evaluate
+from boxebm.evalkit import evaluate, relative_gain
 from boxebm.geometry import iou_3d
 from boxebm.nce import train
 from boxebm.refine import refine_scenes
@@ -64,7 +64,7 @@ def main():
         for thr in cfg.eval.thresholds:
             ai = res_i[(mode, thr, "all")].ap
             ar = res_r[(mode, thr, "all")].ap
-            rel = (ar - ai) / ai if ai > 0 else float("inf")
+            rel = relative_gain(ai, ar)
             print(f"{mode:>5} {thr:>5} {ai:>11.4f} {ar:>11.4f} {rel:>+9.2%}")
 
 

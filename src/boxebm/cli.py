@@ -21,7 +21,7 @@ from pathlib import Path
 from .config import RunConfig, build_run_config, parse_config_file, resolved_line
 from .energynet import heading_scan, init_params, load_checkpoint, save_checkpoint
 from .errors import BoxEbmError, ConfigError, GenerationError, InputError, NumericError
-from .evalkit import GroundTruth, ScoredBox, evaluate
+from .evalkit import GroundTruth, ScoredBox, evaluate, relative_gain
 from .geometry import bev_iou, to_bev
 from .kittiio import DONT_CARE, from_box3d, parse_label_file, to_box3d, write_result_file
 from .nce import train
@@ -216,12 +216,6 @@ def _dets_from_kitti(dets_dir: Path, expected_ids):
     return dets
 
 
-def _rel_gain(initial: float, refined: float) -> float:
-    if initial == 0.0:
-        return float("inf") if refined > 0 else 0.0
-    return (refined - initial) / initial
-
-
 def cmd_eval(cfg: RunConfig, args) -> int:
     _require(args, "out")
     out = Path(args.out)
@@ -259,7 +253,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                 key = (mode, thr, diff)
                 ap_i = res_initial[key].ap if res_initial else ""
                 ap_r = res_refined[key].ap if res_refined else ""
-                rel = _rel_gain(ap_i, ap_r) if res_initial and res_refined else ""
+                rel = relative_gain(ap_i, ap_r) if res_initial and res_refined else ""
                 ap_rows.append((mode, thr, diff, ap_i, ap_r, rel))
                 for source, res in (("initial", res_initial), ("refined", res_refined)):
                     if res is None:

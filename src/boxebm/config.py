@@ -36,6 +36,10 @@ class NoiseConfig:
     ratios: tuple = (0.25, 0.5, 1.0)
     beta: float = 0.0
 
+    def __post_init__(self):
+        if not self.ratios:
+            raise ConfigError("noise.ratios must hold at least one scale ratio")
+
     def build(self) -> NoiseModel:
         s3 = np.asarray(self.sigma3, dtype=float)
         return NoiseModel(sigma=np.stack([s3 * r for r in self.ratios]), beta=self.beta)

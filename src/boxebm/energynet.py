@@ -13,8 +13,9 @@ the heading scan.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,71 +50,72 @@ class DenseLayer:
     b: np.ndarray  # (out,)
 
 
+def _tensor_table(dims: EnergyNetDims) -> list:
+    """(name, shape) of every tensor in checkpoint order: each group's
+    layers in turn, W (out, in) before b (out,)."""
+    e = dims.enc_dim
+    h1, h2 = dims.head_dims
+    groups = {"enc_cz": [(e, 1), (e, e)], "enc_h": [(e, 1), (e, e)],
+              "head": [(h1, dims.input_len), (h2, h1), (1, h2)]}
+    return [(f"{group}.{i}.{kind}", shape)
+            for group, layers in groups.items() for i, (n_out, n_in) in enumerate(layers)
+            for kind, shape in (("W", (n_out, n_in)), ("b", (n_out,)))]
+
+
 @dataclass
 class EnergyNetParams:
+    """All parameters as one float64 `vector` in checkpoint order. Each
+    layer's W and b are reshaped views into it, so writing a layer writes
+    the vector."""
+
     dims: EnergyNetDims
-    enc_cz: list[DenseLayer]
-    enc_h: list[DenseLayer]
-    head: list[DenseLayer]
+    vector: np.ndarray
+    enc_cz: list = field(init=False, default_factory=list)
+    enc_h: list = field(init=False, default_factory=list)
+    head: list = field(init=False, default_factory=list)
+
+    def __post_init__(self):
+        self.vector = np.ascontiguousarray(self.vector, dtype=float)
+        size = sum(math.prod(shape) for _, shape in _tensor_table(self.dims))
+        if self.vector.shape != (size,):
+            raise ConfigError(f"parameter vector has shape {self.vector.shape}, expected ({size},)")
+        tensors = self.named_tensors()
+        for (name, w), (_, b) in zip(tensors, tensors):  # W, b pairs
+            getattr(self, name.split(".")[0]).append(DenseLayer(W=w, b=b))
+
+    def param_offsets(self) -> dict:
+        """name -> (start, size) into `vector`."""
+        out = {}
+        pos = 0
+        for name, shape in _tensor_table(self.dims):
+            out[name] = (pos, math.prod(shape))
+            pos += out[name][1]
+        return out
 
     def named_tensors(self):
-        """(name, array) pairs in fixed declaration order (checkpoint layout)."""
-        for group, layers in (("enc_cz", self.enc_cz), ("enc_h", self.enc_h), ("head", self.head)):
-            for i, layer in enumerate(layers):
-                yield f"{group}.{i}.W", layer.W
-                yield f"{group}.{i}.b", layer.b
+        """(name, view into `vector`) pairs in checkpoint order."""
+        shapes = dict(_tensor_table(self.dims))
+        for name, (start, size) in self.param_offsets().items():
+            yield name, self.vector[start:start + size].reshape(shapes[name])
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.named_tensors()])
+        return self.vector.copy()
 
     def from_vector(self, vec: np.ndarray) -> "EnergyNetParams":
-        pos = 0
-
-        def take(like: np.ndarray) -> np.ndarray:
-            nonlocal pos
-            out = np.array(vec[pos:pos + like.size], dtype=float).reshape(like.shape)
-            pos += like.size
-            return out
-
-        # in `named_tensors` order: groups, layers, then W before b
-        groups = [[DenseLayer(W=take(layer.W), b=take(layer.b)) for layer in layers]
-                  for layers in (self.enc_cz, self.enc_h, self.head)]
-        if pos != vec.size:
-            raise ConfigError(f"parameter vector has {vec.size} entries, expected {pos}")
-        return EnergyNetParams(self.dims, *groups)
+        """Same dims, parameters copied from `vec`."""
+        return EnergyNetParams(self.dims, np.array(vec, dtype=float))
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for _, a in self.named_tensors())
-
-    def param_offsets(self) -> dict:
-        """name -> (start, size) into the flat parameter vector."""
-        out = {}
-        pos = 0
-        for name, arr in self.named_tensors():
-            out[name] = (pos, arr.size)
-            pos += arr.size
-        return out
-
-
-def _layer_shapes(dims: EnergyNetDims) -> dict:
-    """(out, in) of each dense layer, per group, in checkpoint order."""
-    e = dims.enc_dim
-    h1, h2 = dims.head_dims
-    return {"enc_cz": [(e, 1), (e, e)], "enc_h": [(e, 1), (e, e)],
-            "head": [(h1, dims.input_len), (h2, h1), (1, h2)]}
+        return self.vector.size
 
 
 def init_params(seed: int, dims: EnergyNetDims) -> EnergyNetParams:
     """He fan-in normal weights, zero biases, deterministic in the seed."""
     rng = np.random.default_rng(seed)
-
-    def dense(n_out, n_in):
-        w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_out, n_in))
-        return DenseLayer(W=w, b=np.zeros(n_out))
-
-    return EnergyNetParams(dims, *([dense(*shape) for shape in shapes]
-                                   for shapes in _layer_shapes(dims).values()))
+    return EnergyNetParams(dims, np.concatenate([
+        rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape).ravel() if name.endswith(".W")
+        else np.zeros(shape) for name, shape in _tensor_table(dims)]))
 
 
 def _check_finite(arr: np.ndarray, where: str):
@@ -180,12 +182,12 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     return values, cache
 
 
-def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_params: bool = True,
+def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, grads=None,
                    per_row: bool = False):
-    """Backprop the head with per-row output weights delta (B,). Returns
-    (dh5 (B, n5 - first_input), head param grads in layer order, or None
-    without `with_params`): dh5 is the gradient w.r.t. the head inputs
-    from column `first_input` on."""
+    """Backprop the head with per-row output weights delta (B,). Returns dh5
+    (B, n5 - first_input), the gradient w.r.t. the head inputs from column
+    `first_input` on. Given `grads` (the head layers of a gradient
+    `EnergyNetParams`), also writes the parameter gradients there."""
     w1, w2, w3 = params.head
     a1, a2, z1, z2, h5 = cache["a1"], cache["a2"], cache["z1"], cache["z2"], cache["h5"]
     d3 = delta  # (B,)
@@ -194,31 +196,32 @@ def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, with_
     da1 = _matmul(dz2, w2.W, per_row)
     dz1 = da1 * (z1 > 0.0)
     dh5 = _matmul(dz1, w1.W[:, first_input:], per_row)
-    if not with_params:
-        return dh5, None
-    dW3 = (d3 @ a2)[None, :]
-    db3 = np.array([d3.sum()])
-    dW2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
-    dW1 = dz1.T @ h5
-    db1 = dz1.sum(axis=0)
-    return dh5, [(dW1, db1), (dW2, db2), (dW3, db3)]
+    if grads is not None:
+        g1, g2, g3 = grads
+        g3.W[0] = d3 @ a2
+        g3.b[0] = d3.sum()
+        g2.W[:] = dz2.T @ a1
+        g2.b[:] = dz2.sum(axis=0)
+        g1.W[:] = dz1.T @ h5
+        g1.b[:] = dz1.sum(axis=0)
+    return dh5
 
 
 def _enc_backward(layers, cache_z1, cache_a1, cache_z2, x: np.ndarray, dout: np.ndarray,
-                  with_params: bool = True, per_row: bool = False):
-    """Backprop one scalar encoder. Returns (dx (B,), param grads or None)."""
+                  grads=None, per_row: bool = False):
+    """Backprop one scalar encoder. Returns dx (B,); given `grads`, also
+    writes the parameter gradients there, as `_head_backward` does."""
     dz2 = dout * (cache_z2 > 0.0)
     da1 = _matmul(dz2, layers[1].W, per_row)
     dz1 = da1 * (cache_z1 > 0.0)
     dx = _matmul(dz1, layers[0].W[:, 0], per_row)
-    if not with_params:
-        return dx, None
-    dW2 = dz2.T @ cache_a1
-    db2 = dz2.sum(axis=0)
-    dW1 = (dz1 * x[:, None]).sum(axis=0)[:, None]
-    db1 = dz1.sum(axis=0)
-    return dx, [(dW1, db1), (dW2, db2)]
+    if grads is not None:
+        g1, g2 = grads
+        g2.W[:] = dz2.T @ cache_a1
+        g2.b[:] = dz2.sum(axis=0)
+        g1.W[:, 0] = (dz1 * x[:, None]).sum(axis=0)
+        g1.b[:] = dz1.sum(axis=0)
+    return dx
 
 
 def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig,
@@ -229,19 +232,16 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
     and covers the gradients too."""
     values, cache = forward_batch(params, grid, boxes, cfg, with_box_jac=True, per_row=per_row)
     b = len(values)
-    dh5, _ = _head_backward(params, cache, np.ones(b), with_params=False, per_row=per_row)
+    dh5 = _head_backward(params, cache, np.ones(b), per_row=per_row)
     n4 = params.dims.feat_len
     e = params.dims.enc_dim
     grad = np.zeros((b, 7))
     # pooled part -> (cx, cy, w, l, yaw)
-    bev = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
-    grad[:, _BEV_COLS] = bev
-    grad[:, 2], _ = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                                  cache["boxes"][:, 2], dh5[:, n4:n4 + e], with_params=False,
-                                  per_row=per_row)
-    grad[:, 3], _ = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                                  cache["boxes"][:, 3], dh5[:, n4 + e:], with_params=False,
-                                  per_row=per_row)
+    grad[:, _BEV_COLS] = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
+    grad[:, 2] = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
+                               cache["boxes"][:, 2], dh5[:, n4:n4 + e], per_row=per_row)
+    grad[:, 3] = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
+                               cache["boxes"][:, 3], dh5[:, n4 + e:], per_row=per_row)
     _check_finite(grad, "box gradient")
     return values, grad
 
@@ -249,18 +249,15 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
 def weighted_param_grad(params: EnergyNetParams, cache: dict, coeffs: np.ndarray) -> np.ndarray:
     """sum_b coeffs[b] * d f(box_b) / d theta, flat in checkpoint order."""
     e = params.dims.enc_dim
+    grad = EnergyNetParams(params.dims, np.zeros(params.n_params))
     # only the encoder inputs of the head lead to parameters
-    denc, head_grads = _head_backward(params, cache, np.asarray(coeffs, dtype=float),
-                                      first_input=params.dims.feat_len)
-    _, cz_grads = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                                cache["boxes"][:, 2], denc[:, :e])
-    _, h_grads = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                               cache["boxes"][:, 3], denc[:, e:])
-    parts = []
-    for dw, db in (*cz_grads, *h_grads, *head_grads):
-        parts.append(dw.ravel())
-        parts.append(db.ravel())
-    return np.concatenate(parts)
+    denc = _head_backward(params, cache, np.asarray(coeffs, dtype=float),
+                          first_input=params.dims.feat_len, grads=grad.head)
+    _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
+                  cache["boxes"][:, 2], denc[:, :e], grads=grad.enc_cz)
+    _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
+                  cache["boxes"][:, 3], denc[:, e:], grads=grad.enc_h)
+    return grad.vector
 
 
 def heading_scan(params: EnergyNetParams, grid: FeatureGrid, box_row: np.ndarray, cfg: PoolConfig,
@@ -275,23 +272,21 @@ def heading_scan(params: EnergyNetParams, grid: FeatureGrid, box_row: np.ndarray
 
 
 def save_checkpoint(params: EnergyNetParams, path):
-    """Versioned binary checkpoint: header, named dimension table, then
-    the tensors as little-endian float64 in declaration order."""
-    tensors = list(params.named_tensors())
+    """Versioned binary checkpoint: header, (name, shape) tensor table, then
+    the parameter vector as little-endian float64."""
+    table = _tensor_table(params.dims)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-        for name, arr in tensors:
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(table)))
+        for name, shape in table:
             enc = name.encode()
-            f.write(struct.pack("<H", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape))
+        f.write(params.vector.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> EnergyNetParams:
+    """Inverse of `save_checkpoint`. The tensor table must be exactly the one
+    its layer sizes imply; any other file ends in ConfigError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != CHECKPOINT_MAGIC:
@@ -304,37 +299,19 @@ def load_checkpoint(path) -> EnergyNetParams:
         table = []
         for _ in range(n_tensors):
             (name_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos:pos + name_len].decode()
-            pos += name_len
+            name = raw[pos + 2:pos + 2 + name_len].decode()
+            pos += 2 + name_len
             (ndim,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-            pos += 4 * ndim
-            table.append((name, shape))
-        arrays = {}
-        for name, shape in table:
-            count = int(np.prod(shape))
-            arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-            pos += 8 * count
-    except (struct.error, ValueError) as exc:
+            table.append((name, struct.unpack_from(f"<{ndim}I", raw, pos + 1)))
+            pos += 1 + 4 * ndim
+        shapes = dict(table)
+        (enc_dim, _), (h1, in_len), (h2, _) = shapes["enc_cz.0.W"], shapes["head.0.W"], shapes["head.1.W"]
+    except (struct.error, ValueError, KeyError) as exc:
         raise ConfigError(f"truncated or corrupt checkpoint {path}: {exc}") from None
-    try:
-        enc_dim = arrays["enc_cz.0.W"].shape[0]
-        in_len = arrays["head.0.W"].shape[1]
-        dims = EnergyNetDims(
-            feat_len=in_len - 2 * enc_dim,
-            enc_dim=enc_dim,
-            head_dims=(arrays["head.0.W"].shape[0], arrays["head.1.W"].shape[0]),
-        )
-        groups = []
-        for group, shapes in _layer_shapes(dims).items():
-            for i, (n_out, n_in) in enumerate(shapes):
-                for name, shape in ((f"{group}.{i}.W", (n_out, n_in)), (f"{group}.{i}.b", (n_out,))):
-                    if arrays[name].shape != shape:
-                        raise ConfigError(f"tensor {name} has shape {arrays[name].shape}, expected {shape}")
-            groups.append([DenseLayer(W=arrays[f"{group}.{i}.W"], b=arrays[f"{group}.{i}.b"])
-                           for i in range(len(shapes))])
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint missing tensor {exc}") from exc
-    return EnergyNetParams(dims, *groups)
+    dims = EnergyNetDims(feat_len=in_len - 2 * enc_dim, enc_dim=enc_dim, head_dims=(h1, h2))
+    if table != _tensor_table(dims):
+        raise ConfigError(f"checkpoint {path}: tensor table {table} is not the layout of {dims}")
+    try:  # the data section must be exactly the parameter vector
+        return EnergyNetParams(dims, np.frombuffer(raw, dtype="<f8", offset=pos).astype(float))
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"truncated or corrupt checkpoint {path}: {exc}") from None

@@ -80,9 +80,6 @@ class ScoredBox(NamedTuple):
 class APResult:
     ap: float
     pr_curve: list  # 40 (recall, precision) pairs
-    threshold: float
-    mode: str
-    difficulty: str = "all"
     num_gt: int = 0
 
 
@@ -117,8 +114,7 @@ def _match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndar
     return labels
 
 
-def average_precision(tp_flags, scores, num_gt: int, threshold: float = float("nan"),
-                      mode: str = "", difficulty: str = "all") -> APResult:
+def average_precision(tp_flags, scores, num_gt: int) -> APResult:
     """Interpolated AP over the fixed recall positions.
 
     tp_flags/scores describe the pooled non-ignored detections.
@@ -144,8 +140,15 @@ def average_precision(tp_flags, scores, num_gt: int, threshold: float = float("n
     interp = best_from[np.searchsorted(recalls, RECALL_POSITIONS - 1e-12, side="left")]
     ap = math.fsum(interp.tolist()) / len(RECALL_POSITIONS)
     curve = list(zip(RECALL_POSITIONS.tolist(), interp.tolist()))
-    return APResult(ap=ap, pr_curve=curve, threshold=threshold, mode=mode,
-                    difficulty=difficulty, num_gt=num_gt)
+    return APResult(ap=ap, pr_curve=curve, num_gt=num_gt)
+
+
+def relative_gain(initial: float, refined: float) -> float:
+    """(refined - initial) / initial: 0.0 when both APs are 0, inf when
+    only the initial one is."""
+    if initial == 0.0:
+        return float("inf") if refined > 0 else 0.0
+    return (refined - initial) / initial
 
 
 def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=MODES,
@@ -184,7 +187,5 @@ def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=MODES,
             for t, thr in enumerate(thresholds):
                 keep = labels[k, t] != IGNORED
                 results[(mode, thr, difficulty)] = average_precision(
-                    labels[k, t, keep] == TP, scores[keep], int(num_gt[k]),
-                    threshold=thr, mode=mode, difficulty=difficulty,
-                )
+                    labels[k, t, keep] == TP, scores[keep], int(num_gt[k]))
     return results

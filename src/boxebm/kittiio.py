@@ -108,18 +108,17 @@ def to_box3d(label: KittiLabel) -> Box3D:
     )
 
 
-def from_box3d(box: Box3D, score: float | None = None, type: str = "Car",
-               truncated: float = 0.0, occluded: int = 0,
-               bbox=(0.0, 0.0, 0.0, 0.0)) -> KittiLabel:
-    """Inverse of to_box3d; alpha is derived from rotation_y and viewing ray."""
+def from_box3d(box: Box3D, score: float | None = None) -> KittiLabel:
+    """Inverse of to_box3d: a Car label with zero truncation, occlusion and
+    2D box; alpha is derived from rotation_y and viewing ray."""
     x = -box.cy
     y = box.h / 2.0 - box.cz
     z = box.cx
     rotation_y = wrap_angle(-box.yaw - math.pi / 2.0)
     alpha = wrap_angle(rotation_y - math.atan2(x, z))
     return KittiLabel(
-        type=type, truncated=truncated, occluded=occluded, alpha=alpha,
-        bbox_left=bbox[0], bbox_top=bbox[1], bbox_right=bbox[2], bbox_bottom=bbox[3],
+        type="Car", truncated=0.0, occluded=0, alpha=alpha,
+        bbox_left=0.0, bbox_top=0.0, bbox_right=0.0, bbox_bottom=0.0,
         h=box.h, w=box.w, l=box.l, x=x, y=y, z=z,
         rotation_y=rotation_y, score=score,
     )

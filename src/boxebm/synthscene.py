@@ -67,6 +67,12 @@ class SynthConfig:
             raise ConfigError("det_noise must be 7 non-negative scales")
         if self.cars_min < 0 or self.cars_max < self.cars_min:
             raise ConfigError("invalid cars-per-scene range")
+        for key in ("size_h", "size_w", "size_l"):
+            size = getattr(self, key)
+            if len(size) != 2 or not 0.0 < size[0] <= size[1] < math.inf:
+                raise ConfigError(f"synth.{key} must be two finite values 0 < low <= high, got {size}")
+        if not self.cz_std >= 0.0:
+            raise ConfigError(f"synth.cz_std must be >= 0, got {self.cz_std}")
 
     @property
     def origin(self) -> float:

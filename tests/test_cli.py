@@ -437,11 +437,50 @@ class TestMalformedInputs:
             assert err.startswith(("error:config:", "error:input:")), (cut, err)
             assert err.count("\n") == 1, (cut, err)
 
+    @pytest.mark.parametrize("edit", ["intact", "reordered", "renamed", "extra", "missing"])
+    def test_checkpoint_tensor_table_must_match_layout(self, tmp_path, capsys, edit):
+        import struct
+
+        from boxebm.energynet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EnergyNetDims, init_params
+        from boxebm.pooling import PoolConfig
+
+        data = tmp_path / "data"
+        self.tiny_dataset(data)
+        dims = EnergyNetDims(feat_len=PoolConfig().feature_len(4), enc_dim=2, head_dims=(3, 2))
+        tensors = list(init_params(0, dims).named_tensors())
+        if edit == "reordered":
+            tensors[0], tensors[1] = tensors[1], tensors[0]
+        elif edit == "renamed":
+            tensors[-1] = ("head.2.bias", tensors[-1][1])
+        elif edit == "extra":
+            tensors.append(("head.3.W", np.ones((1, 1))))
+        elif edit == "missing":
+            del tensors[-1]
+        # the checkpoint format, written tensor by tensor
+        raw = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors))
+        for name, arr in tensors:
+            raw += struct.pack("<H", len(name)) + name.encode()
+            raw += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        raw += b"".join(arr.astype("<f8").tobytes() for _, arr in tensors)
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(raw)
+        code = run(["refine", "--dataset", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if edit == "intact":
+            assert code == 0, err
+        else:
+            assert code == 1 and err.startswith("error:config:") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command,setting", [
         ("train", "train.epochs=0"),
         ("train", "train.batch_size=0"),
         ("angle-scan", "angle_points=-1"),
         ("eval", "eval.thresholds=nan"),
+        ("synth-gen", "synth.size_l=5"),
+        ("synth-gen", "synth.cz_std=-1"),
+        ("synth-gen", "synth.size_h="),
+        ("train", "noise.ratios="),
     ])
     def test_out_of_range_config_value(self, pipeline, tmp_path, capsys, command, setting):
         data, runout = pipeline

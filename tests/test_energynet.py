@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boxebm.config import build_run_config
 from boxebm.energynet import (
     EnergyNetDims,
     box_grad_batch,
@@ -15,6 +16,7 @@ from boxebm.energynet import (
 from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
 from boxebm.pooling import PoolConfig
+from boxebm.synthscene import SynthConfig
 from helpers import default_size_setup, fd_safe_instance, small_energy_setup
 
 SMALL_DIMS = EnergyNetDims(feat_len=12, enc_dim=4, head_dims=(16, 16))
@@ -42,6 +44,42 @@ class TestInit:
             var = float(np.var(layer.W))
             assert abs(var - 2.0 / fan_in) < 0.2 * (2.0 / fan_in)
             assert np.array_equal(layer.b, np.zeros_like(layer.b))
+
+
+class TestParameterVector:
+    def test_layers_are_views_of_the_vector(self):
+        params = init_params(0, SMALL_DIMS)
+        params.head[2].b[0] = 12.5
+        params.enc_h[1].W[0, 1] = -3.0
+        offsets = params.param_offsets()
+        assert params.vector[offsets["head.2.b"][0]] == 12.5
+        assert params.vector[offsets["enc_h.1.W"][0] + 1] == -3.0
+        assert params.vector[-1] == 12.5  # head.2.b is the last tensor
+
+    def test_tensor_table_order_and_sizes(self):
+        params = init_params(0, SMALL_DIMS)
+        e, (h1, h2), n5 = 4, (16, 16), SMALL_DIMS.input_len
+        assert [(n, a.shape) for n, a in params.named_tensors()] == [
+            ("enc_cz.0.W", (e, 1)), ("enc_cz.0.b", (e,)), ("enc_cz.1.W", (e, e)), ("enc_cz.1.b", (e,)),
+            ("enc_h.0.W", (e, 1)), ("enc_h.0.b", (e,)), ("enc_h.1.W", (e, e)), ("enc_h.1.b", (e,)),
+            ("head.0.W", (h1, n5)), ("head.0.b", (h1,)), ("head.1.W", (h2, h1)), ("head.1.b", (h2,)),
+            ("head.2.W", (1, h2)), ("head.2.b", (1,)),
+        ]
+        assert params.n_params == sum(a.size for _, a in params.named_tensors())
+
+    def test_from_vector_does_not_alias_its_argument(self):
+        params = init_params(0, SMALL_DIMS)
+        vec = params.to_vector()
+        assert not np.shares_memory(vec, params.vector)
+        other = params.from_vector(vec)
+        assert not np.shares_memory(other.vector, vec)
+        vec[:] = 0.0
+        assert np.array_equal(other.vector, params.vector)
+
+    def test_from_vector_rejects_wrong_length(self):
+        params = init_params(0, SMALL_DIMS)
+        with pytest.raises(ConfigError):
+            params.from_vector(np.zeros(params.n_params + 1))
 
 
 class TestForward:
@@ -259,6 +297,25 @@ class TestCheckpoint:
         assert loaded.dims == params.dims
         save_checkpoint(loaded, tmp_path / "net2.ckpt")
         assert (tmp_path / "net.ckpt").read_bytes() == (tmp_path / "net2.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("dims", [
+        None,  # the default network
+        EnergyNetDims(feat_len=1, enc_dim=1, head_dims=(1, 1)),
+    ])
+    def test_save_load_save_same_bytes(self, tmp_path, dims):
+        dims = dims or build_run_config().net_dims(SynthConfig().channels)
+        save_checkpoint(init_params(3, dims), tmp_path / "a.ckpt")
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        assert loaded.dims == dims
+        save_checkpoint(loaded, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(init_params(0, SMALL_DIMS), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ConfigError, match="parameter vector has shape"):
+            load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"

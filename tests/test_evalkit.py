@@ -13,6 +13,7 @@ from boxebm.evalkit import (
     GroundTruth,
     average_precision,
     evaluate,
+    relative_gain,
 )
 from boxebm.evalkit import _match_scene
 from boxebm.geometry import Box3D, bev_iou, iou_3d, iou_matrix, to_bev
@@ -186,6 +187,18 @@ class TestAveragePrecision:
         assert len(res.pr_curve) == 40
         assert res.pr_curve[0][0] == pytest.approx(1 / 40)
         assert res.pr_curve[-1][0] == pytest.approx(1.0)
+
+
+class TestRelativeGain:
+    def test_zero_to_zero_is_no_gain(self):
+        assert relative_gain(0.0, 0.0) == 0.0
+
+    def test_zero_to_positive_is_infinite(self):
+        assert relative_gain(0.0, 0.25) == float("inf")
+
+    def test_ratio_of_change(self):
+        assert relative_gain(0.5, 0.75) == 0.5
+        assert relative_gain(0.5, 0.0) == -1.0
 
 
 @st.composite
