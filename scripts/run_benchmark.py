@@ -51,7 +51,7 @@ def main():
         print(f"checkpoint -> {args.checkpoint}")
 
     val = LazyScenes(cfg.synth, range(args.train_scenes, args.train_scenes + args.val_scenes))
-    dets_initial, dets_refined, gts, seconds = refine_scenes(trained, val, cfg.pool, cfg.refine)
+    dets_initial, dets_refined, _, gts, seconds = refine_scenes(trained, val, cfg.pool, cfg.refine)
     iou_before = [iou_3d(d.box, g.box) for sid in gts for d, g in zip(dets_initial[sid], gts[sid])]
     iou_after = [iou_3d(r.box, g.box) for sid in gts for r, g in zip(dets_refined[sid], gts[sid])]
     print(f"refined {len(iou_before)} detections in {seconds:.0f}s")

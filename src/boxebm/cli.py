@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, build_run_config, parse_config_file, resolved_line
@@ -25,7 +26,7 @@ from .evalkit import GroundTruth, ScoredBox, evaluate, relative_gain
 from .geometry import bev_iou, to_bev
 from .kittiio import DONT_CARE, from_box3d, parse_label_file, to_box3d, write_result_file
 from .nce import train
-from .refine import refine_all, sweep_t
+from .refine import refine_scenes, sweep_t
 from .synthscene import FileScenes, gen_scene_by_index, save_dataset, split_indices
 
 ERROR_CATEGORIES = [
@@ -36,6 +37,8 @@ ERROR_CATEGORIES = [
     (BoxEbmError, "input"),
     (OSError, "io"),
 ]
+
+_DETS_DIR = "dets"  # subdirectory of a `refine --out` holding the KITTI result files
 
 
 def _write_csv(path: Path, comment: str, header: list[str], rows):
@@ -64,8 +67,12 @@ def _require(args, *names):
             raise ConfigError(f"--{name} is required for this command")
 
 
-def _dets_path(out_dir: Path) -> Path:
-    return out_dir / "dets"
+def _open_split(args) -> FileScenes:
+    """The `--split` scenes of `--dataset`; an empty split is an input error."""
+    scenes = FileScenes(args.dataset, split=args.split)
+    if len(scenes) == 0:
+        raise InputError(f"no {args.split!r} scenes under {args.dataset}")
+    return scenes
 
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
@@ -91,11 +98,10 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 def cmd_train(cfg: RunConfig, args) -> int:
     _require(args, "dataset", "out")
+    noise = cfg.noise.build()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = FileScenes(args.dataset, split=args.split)
-    if len(dataset) == 0:
-        raise InputError(f"no {args.split!r} scenes under {args.dataset}")
+    dataset = _open_split(args)
     channels = dataset[0].grid.channels
     if args.resume:
         params = _load_params_checked(Path(args.resume), cfg, channels)
@@ -104,7 +110,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     ckpt = out / "checkpoint.ckpt"
     save_checkpoint(params, ckpt)  # a last-good checkpoint always exists
     trained, records = train(
-        params, dataset, cfg.train, cfg.noise.build(), cfg.pool,
+        params, dataset, cfg.train, noise, cfg.pool,
         on_epoch=lambda p, _epoch: save_checkpoint(p, ckpt),
     )
     save_checkpoint(trained, ckpt)
@@ -118,50 +124,26 @@ def cmd_train(cfg: RunConfig, args) -> int:
 def cmd_refine(cfg: RunConfig, args) -> int:
     _require(args, "dataset", "checkpoint", "out")
     out = Path(args.out)
-    dets_dir = _dets_path(out)
-    dets_dir.mkdir(parents=True, exist_ok=True)
-    scenes = FileScenes(args.dataset, split=args.split)
-    if len(scenes) == 0:
-        raise InputError(f"no {args.split!r} scenes under {args.dataset}")
-    channels = scenes[0].grid.channels
-    params = _load_params_checked(Path(args.checkpoint), cfg, channels)
-    trace_rows = []
-    f_gain = 0.0
-    n_dets = 0
-    for i in range(len(scenes)):
-        scene = scenes[i]
-        refined, traces = refine_all(params, scene.grid, scene.initial_dets, cfg.pool, cfg.refine)
-        labels = [from_box3d(d.box, score=d.score) for d in refined]
-        (dets_dir / f"{scene.id:06d}.txt").write_text(write_result_file(labels))
-        for di, trace in enumerate(traces):
-            accepted = [row.proposal_value for row in trace if row.accepted]
-            if trace:
-                f_gain += (accepted[-1] if accepted else trace[0].current_value) - trace[0].current_value
-            n_dets += 1
-            if args.traces:
-                trace_rows.extend(
-                    (scene.id, di, r.iteration, r.current_value, r.proposal_value,
-                     int(r.accepted), r.step_size)
-                    for r in trace
-                )
+    scenes = _open_split(args)
+    params = _load_params_checked(Path(args.checkpoint), cfg, scenes[0].grid.channels)
+    _, refined, traces, _, _ = refine_scenes(params, scenes, cfg.pool, cfg.refine)
+    (out / _DETS_DIR).mkdir(parents=True, exist_ok=True)
+    for sid, dets in refined.items():
+        (out / _DETS_DIR / f"{sid:06d}.txt").write_text(
+            write_result_file([from_box3d(d.box, score=d.score) for d in dets]))
     if args.traces:
         _write_csv(out / "traces.csv", resolved_line(cfg),
                    ["scene_id", "det_index", "iteration", "current_value",
                     "proposal_value", "accepted", "step_size"],
-                   trace_rows)
-    mean_gain = f_gain / n_dets if n_dets else 0.0
-    print(f"scenes={len(scenes)} detections={n_dets} mean_f_increase={mean_gain:.6f}")
+                   [(sid, di, r.iteration, r.current_value, r.proposal_value, int(r.accepted), r.step_size)
+                    for sid, scene_traces in traces.items()
+                    for di, trace in enumerate(scene_traces) for r in trace])
+    n_dets = sum(len(dets) for dets in refined.values())
+    # a trace ends at its last accepted proposal's value, or at its first value if none was accepted
+    f_gain = sum((t[-1].proposal_value if t[-1].accepted else t[-1].current_value) - t[0].current_value
+                 for scene_traces in traces.values() for t in scene_traces if t)
+    print(f"scenes={len(scenes)} detections={n_dets} mean_f_increase={f_gain / max(n_dets, 1):.6f}")
     return 0
-
-
-def _gts_and_initial_from_scenes(scenes: FileScenes):
-    gts = {}
-    initial = {}
-    for i in range(len(scenes)):
-        scene = scenes[i]
-        gts[scene.id] = scene.gts
-        initial[scene.id] = scene.initial_dets
-    return gts, initial
 
 
 def _kitti_labels(path: Path):
@@ -224,23 +206,23 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise ConfigError("eval needs --dataset (scene files) or --kitti-gt (label files)")
     initial = None
     if args.dataset is not None:
-        scenes = FileScenes(args.dataset, split=args.split)
-        if len(scenes) == 0:
-            raise InputError(f"no {args.split!r} scenes under {args.dataset}")
-        gts, initial = _gts_and_initial_from_scenes(scenes)
+        scenes = _open_split(args)
+        gts, initial = {}, {}
+        for i in range(len(scenes)):
+            scene = scenes[i]
+            gts[scene.id], initial[scene.id] = scene.gts, scene.initial_dets
     else:
         gts = _gts_from_kitti(Path(args.kitti_gt))
     refined = None
     if args.dets is not None:
         dets_root = Path(args.dets)
-        if (dets_root / "dets").exists():  # accept a refine --out directory directly
-            dets_root = dets_root / "dets"
+        if (dets_root / _DETS_DIR).exists():  # accept a refine --out directory directly
+            dets_root = dets_root / _DETS_DIR
         refined = _dets_from_kitti(dets_root, gts.keys())
     if initial is None and refined is None:
         raise ConfigError("nothing to evaluate: provide --dets and/or a scene --dataset")
 
-    kw = dict(modes=cfg.eval.modes, thresholds=cfg.eval.thresholds,
-              difficulties=cfg.eval.difficulties)
+    kw = asdict(cfg.eval)
     res_initial = evaluate(initial, gts, **kw) if initial is not None else None
     res_refined = evaluate(refined, gts, **kw) if refined is not None else None
 
@@ -274,11 +256,8 @@ def cmd_sweep_t(cfg: RunConfig, args) -> int:
     _require(args, "dataset", "checkpoint", "out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenes = FileScenes(args.dataset, split=args.split)
-    if len(scenes) == 0:
-        raise InputError(f"no {args.split!r} scenes under {args.dataset}")
-    channels = scenes[0].grid.channels
-    params = _load_params_checked(Path(args.checkpoint), cfg, channels)
+    scenes = _open_split(args)
+    params = _load_params_checked(Path(args.checkpoint), cfg, scenes[0].grid.channels)
     rows = sweep_t(params, scenes, cfg.pool, cfg.refine, cfg.sweep.t_values, cfg.eval.thresholds)
     comment = resolved_line(cfg) + " | mean_ap averages 3D AP over eval.thresholds; throughput times the refinement step only"
     _write_csv(out / "sweep_t.csv", comment, ["T", "mean_ap_3d", "scenes_per_sec"], rows)
@@ -370,11 +349,9 @@ def main(argv=None) -> int:
         print(f"# {resolved_line(cfg)}")
         return COMMANDS[args.command](cfg, args)
     except tuple(cls for cls, _ in ERROR_CATEGORIES) as exc:
-        for cls, category in ERROR_CATEGORIES:
-            if isinstance(exc, cls):
-                print(f"error:{category}: {exc}", file=sys.stderr)
-                return 1
-        raise  # unreachable
+        category = next(category for cls, category in ERROR_CATEGORIES if isinstance(exc, cls))
+        print(f"error:{category}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .energynet import EnergyNetDims
 from .errors import ConfigError
+from .evalkit import EvalConfig
 from .nce import NoiseModel, TrainConfig
 from .pooling import PoolConfig
 from .refine import RefineConfig
@@ -28,6 +29,11 @@ class NetConfig:
     enc_dim: int = 16
     head1: int = 256
     head2: int = 256
+
+    def __post_init__(self):
+        for key in ("enc_dim", "head1", "head2"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"net.{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -43,17 +49,6 @@ class NoiseConfig:
     def build(self) -> NoiseModel:
         s3 = np.asarray(self.sigma3, dtype=float)
         return NoiseModel(sigma=np.stack([s3 * r for r in self.ratios]), beta=self.beta)
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    thresholds: tuple = (0.7, 0.75, 0.8, 0.85, 0.9)
-    modes: tuple = ("3d", "bev")
-    difficulties: tuple = ("all",)
-
-    def __post_init__(self):
-        if not self.thresholds or not all(0.0 < t <= 1.0 for t in self.thresholds):
-            raise ConfigError(f"IoU thresholds must be in (0, 1], got {self.thresholds}")
 
 
 @dataclass(frozen=True)

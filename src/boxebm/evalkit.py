@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .geometry import Box3D, iou_matrix
 
 RECALL_POSITIONS = np.arange(1, 41) / 40.0
@@ -34,6 +34,17 @@ MODES = ("3d", "bev")
 
 # per-detection match labels
 TP, FP, IGNORED = 1, 0, -1
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    thresholds: tuple = (0.7, 0.75, 0.8, 0.85, 0.9)
+    modes: tuple = MODES
+    difficulties: tuple = ("all",)
+
+    def __post_init__(self):
+        if not self.thresholds or not all(0.0 < t <= 1.0 for t in self.thresholds):
+            raise ConfigError(f"IoU thresholds must be in (0, 1], got {self.thresholds}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +162,8 @@ def relative_gain(initial: float, refined: float) -> float:
     return (refined - initial) / initial
 
 
-def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=MODES,
-             thresholds=(0.7, 0.75, 0.8, 0.85, 0.9), difficulties=("all",)) -> dict:
+def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
+             thresholds=EvalConfig.thresholds, difficulties=EvalConfig.difficulties) -> dict:
     """Pooled AP per (mode, threshold, difficulty) across aligned scenes.
 
     Detections have `.box` and a finite `.score` (`ScoredBox`, `Detection`).

@@ -48,8 +48,8 @@ class NoiseModel:
             raise ConfigError(f"sigma must be (K, 7), got {sig.shape}")
         if not np.all(sig > 0):
             raise ConfigError("all noise scales must be positive")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigError(f"noise.beta must be finite and >= 0, got {self.beta}")
         object.__setattr__(self, "sigma", sig)
 
     @property
@@ -152,6 +152,8 @@ class TrainConfig:
             raise ConfigError("need at least one noise sample")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError(f"batch_size and epochs must be >= 1, got {self.batch_size} and {self.epochs}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"train.learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.lr_schedule not in ("cosine", "constant"):
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
 

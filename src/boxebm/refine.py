@@ -149,20 +149,20 @@ def refine_all(params: EnergyNetParams, grid: FeatureGrid, dets, pool_cfg: PoolC
 def refine_scenes(params: EnergyNetParams, scenes, pool_cfg: PoolConfig, cfg: RefineConfig):
     """Refine the scenes of a sequence, read one at a time, with `refine_all`.
 
-    Returns (initial, refined, gts, seconds): the initial and refined
-    detections and the ground truth per scene id, and the seconds spent
-    inside `refine_all` only.
+    Returns (initial, refined, traces, gts, seconds): the initial and
+    refined detections, their traces and the ground truth per scene id, in
+    scene order, and the seconds spent inside `refine_all` only.
     """
-    initial, refined, gts = {}, {}, {}
+    initial, refined, traces, gts = {}, {}, {}, {}
     seconds = 0.0
     for i in range(len(scenes)):
         scene = scenes[i]
         t0 = time.perf_counter()
-        refined[scene.id], _ = refine_all(params, scene.grid, scene.initial_dets, pool_cfg, cfg)
+        refined[scene.id], traces[scene.id] = refine_all(params, scene.grid, scene.initial_dets,
+                                                         pool_cfg, cfg)
         seconds += time.perf_counter() - t0
-        initial[scene.id] = scene.initial_dets
-        gts[scene.id] = scene.gts
-    return initial, refined, gts, seconds
+        initial[scene.id], gts[scene.id] = scene.initial_dets, scene.gts
+    return initial, refined, traces, gts, seconds
 
 
 def sweep_t(params: EnergyNetParams, scenes, pool_cfg: PoolConfig, cfg: RefineConfig, t_values,
@@ -175,7 +175,7 @@ def sweep_t(params: EnergyNetParams, scenes, pool_cfg: PoolConfig, cfg: RefineCo
     """
     rows = []
     for t in t_values:
-        _, refined, gts, seconds = refine_scenes(params, scenes, pool_cfg, replace(cfg, steps=int(t)))
+        _, refined, _, gts, seconds = refine_scenes(params, scenes, pool_cfg, replace(cfg, steps=int(t)))
         res = evaluate(refined, gts, modes=("3d",), thresholds=thresholds, difficulties=("all",))
         mean_ap = float(np.mean([res[("3d", thr, "all")].ap for thr in thresholds]))
         rows.append((int(t), mean_ap, len(scenes) / seconds if seconds > 0 else float("inf")))

@@ -73,6 +73,12 @@ class SynthConfig:
                 raise ConfigError(f"synth.{key} must be two finite values 0 < low <= high, got {size}")
         if not self.cz_std >= 0.0:
             raise ConfigError(f"synth.cz_std must be >= 0, got {self.cz_std}")
+        if not 0.0 < self.res < math.inf:
+            raise ConfigError(f"synth.res must be finite and > 0, got {self.res}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ConfigError(f"synth.margin must be finite and >= 0, got {self.margin}")
+        if not 0.0 < self.max_pair_iou <= 1.0:
+            raise ConfigError(f"synth.max_pair_iou must be in (0, 1], got {self.max_pair_iou}")
 
     @property
     def origin(self) -> float:

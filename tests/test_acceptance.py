@@ -54,7 +54,7 @@ def bench(tmp_path_factory):
     trained, records = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),
                              LazyScenes(cfg.synth, range(BENCH_TRAIN)), tc, nm, cfg.pool)
     val = LazyScenes(cfg.synth, range(BENCH_TRAIN, BENCH_TRAIN + BENCH_VAL))
-    dets_initial, dets_refined, gts, _ = refine_scenes(trained, val, cfg.pool, PAPER_REFINE)
+    dets_initial, dets_refined, _, gts, _ = refine_scenes(trained, val, cfg.pool, PAPER_REFINE)
     iou_pairs = [(iou_3d(d.box, g.box), iou_3d(r.box, g.box)) for sid in gts
                  for d, r, g in zip(dets_initial[sid], dets_refined[sid], gts[sid])]
     elapsed = time.perf_counter() - t0

@@ -399,7 +399,8 @@ class TestMalformedInputs:
         assert err.startswith("error:input:") and "abc.txt" in err
 
     @staticmethod
-    def tiny_dataset(root: Path) -> Path:
+    def tiny_dataset(root: Path, n: int = 1) -> Path:
+        """n one-box val scenes; returns the last scene's file."""
         from boxebm.evalkit import GroundTruth
         from boxebm.featuregrid import FeatureGrid
         from boxebm.geometry import Box3D
@@ -407,10 +408,11 @@ class TestMalformedInputs:
         from boxebm.synthscene import Scene, save_dataset
 
         box = Box3D(0.0, 0.0, 0.8, 1.5, 1.6, 3.9, 0.1)
-        scene = Scene(id=0, grid=FeatureGrid(np.ones((2, 2, 4)), -1.0, -1.0, 1.0),
-                      gts=[GroundTruth(box, 40.0, 0, 0.0)], initial_dets=[Detection(box, 0.5)])
-        save_dataset([scene], ["val"], root)
-        return root / "scene_000000.bin"
+        scenes = [Scene(id=i, grid=FeatureGrid(np.ones((2, 2, 4)), -1.0, -1.0, 1.0),
+                        gts=[GroundTruth(box, 40.0, 0, 0.0)], initial_dets=[Detection(box, 0.5)])
+                  for i in range(n)]
+        save_dataset(scenes, ["val"] * n, root)
+        return root / f"scene_{n - 1:06d}.bin"
 
     def test_scene_file_non_finite_grid(self, tmp_path, capsys):
         path = self.tiny_dataset(tmp_path / "data")
@@ -481,6 +483,18 @@ class TestMalformedInputs:
         ("synth-gen", "synth.cz_std=-1"),
         ("synth-gen", "synth.size_h="),
         ("train", "noise.ratios="),
+        ("train", "net.enc_dim=0"),
+        ("train", "net.head1=0"),
+        ("train", "net.head2=0"),
+        ("synth-gen", "synth.res=nan"),
+        ("synth-gen", "synth.res=0"),
+        ("synth-gen", "synth.margin=-5"),
+        ("synth-gen", "synth.margin=inf"),
+        ("synth-gen", "synth.max_pair_iou=nan"),
+        ("synth-gen", "synth.max_pair_iou=0"),
+        ("train", "train.learning_rate=-1"),
+        ("train", "train.learning_rate=nan"),
+        ("train", "noise.beta=nan"),
     ])
     def test_out_of_range_config_value(self, pipeline, tmp_path, capsys, command, setting):
         data, runout = pipeline
@@ -499,6 +513,24 @@ class TestMalformedInputs:
         assert run(["eval", "--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:input:") and "manifest line 1" in err
+
+    def test_refine_error_in_a_later_scene_writes_no_result_file(self, tmp_path, capsys):
+        from boxebm.energynet import EnergyNetDims, init_params, save_checkpoint
+        from boxebm.pooling import PoolConfig
+
+        data = tmp_path / "data"
+        second = self.tiny_dataset(data, n=2)
+        ckpt = tmp_path / "net.ckpt"
+        dims = EnergyNetDims(feat_len=PoolConfig().feature_len(4), enc_dim=2, head_dims=(3, 2))
+        save_checkpoint(init_params(0, dims), ckpt)
+        argv = ["refine", "--dataset", str(data), "--checkpoint", str(ckpt), "--traces", "--out"]
+        assert run([*argv, str(tmp_path / "intact")]) == 0
+        assert len(list((tmp_path / "intact" / "dets").glob("*.txt"))) == 2
+        second.write_bytes(second.read_bytes()[:-1])
+        assert run([*argv, str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and err.count("\n") == 1, err
+        assert not any(path.is_file() for path in (tmp_path / "out").rglob("*"))
 
     def test_truncated_scene_file_at_every_offset(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -7,7 +7,7 @@ from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
 from boxebm.geometry import Box3D, BoxBEV
 from boxebm.pooling import PoolConfig, grid_points
-from boxebm.refine import Detection, RefineConfig, refine_all, refine_one
+from boxebm.refine import Detection, RefineConfig, refine_all, refine_one, refine_scenes
 from helpers import default_size_setup, small_energy_setup
 
 
@@ -160,6 +160,30 @@ class TestRefineAll:
         rev, _ = refine_all(params, grid, dets[::-1], cfg, RefineConfig(steps=4, step_size=0.05))
         for a, b in zip(fwd, rev[::-1]):
             assert np.array_equal(a.box.as_array(), b.box.as_array())
+
+
+class TestRefineScenes:
+    def test_equals_refine_all_per_scene(self):
+        from boxebm.synthscene import LazyScenes, SynthConfig
+
+        synth = SynthConfig(grid_w=32, grid_l=32, channels=6, cars_min=1, cars_max=3, margin=1.5, seed=4)
+        scenes = LazyScenes(synth, range(6))
+        pool = PoolConfig(2, 3)
+        params = init_params(7, EnergyNetDims(feat_len=pool.feature_len(6), enc_dim=4, head_dims=(16, 16)))
+        rcfg = RefineConfig(steps=6, step_size=0.5)
+        initial, refined, traces, gts, seconds = refine_scenes(params, scenes, pool, rcfg)
+        ids = [scenes[i].id for i in range(len(scenes))]
+        assert list(initial) == list(refined) == list(traces) == list(gts) == ids
+        assert seconds > 0
+        for i in range(len(scenes)):
+            scene = scenes[i]
+            one, one_traces = refine_all(params, scene.grid, scene.initial_dets, pool, rcfg)
+            assert (np.array([d.box.as_array() for d in refined[scene.id]]).tobytes()
+                    == np.array([d.box.as_array() for d in one]).tobytes())
+            assert repr(traces[scene.id]) == repr(one_traces)  # repr keeps every bit of a float
+            assert initial[scene.id] == scene.initial_dets and gts[scene.id] == scene.gts
+        rows = [row for scene_traces in traces.values() for trace in scene_traces for row in trace]
+        assert any(row.accepted for row in rows) and not all(row.accepted for row in rows)
 
 
 class TestBatchedAscent:
