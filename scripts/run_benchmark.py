@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from boxebm.config import build_run_config, resolved_line
 from boxebm.energynet import init_params, save_checkpoint
 from boxebm.evalkit import evaluate, relative_gain
-from boxebm.geometry import iou_3d
+from boxebm.geometry import box_rows, pair_iou
 from boxebm.nce import train
 from boxebm.refine import refine_scenes
 from boxebm.synthscene import LazyScenes
@@ -52,8 +52,9 @@ def main():
 
     val = LazyScenes(cfg.synth, range(args.train_scenes, args.train_scenes + args.val_scenes))
     dets_initial, dets_refined, _, gts, seconds = refine_scenes(trained, val, cfg.pool, cfg.refine)
-    iou_before = [iou_3d(d.box, g.box) for sid in gts for d, g in zip(dets_initial[sid], gts[sid])]
-    iou_after = [iou_3d(r.box, g.box) for sid in gts for r, g in zip(dets_refined[sid], gts[sid])]
+    gt_rows = box_rows([g.box for sid in gts for g in gts[sid]])
+    iou_before = pair_iou(box_rows([d.box for sid in gts for d in dets_initial[sid]]), gt_rows, "3d")
+    iou_after = pair_iou(box_rows([r.box for sid in gts for r in dets_refined[sid]]), gt_rows, "3d")
     print(f"refined {len(iou_before)} detections in {seconds:.0f}s")
     print(f"mean 3D IoU: initial {np.mean(iou_before):.4f} -> refined {np.mean(iou_after):.4f}")
 

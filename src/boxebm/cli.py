@@ -23,7 +23,7 @@ from .config import RunConfig, build_run_config, parse_config_file, resolved_lin
 from .energynet import heading_scan, init_params, load_checkpoint, save_checkpoint
 from .errors import BoxEbmError, ConfigError, GenerationError, InputError, NumericError
 from .evalkit import GroundTruth, ScoredBox, evaluate, relative_gain
-from .geometry import bev_iou, to_bev
+from .geometry import box_rows, pair_iou
 from .kittiio import DONT_CARE, from_box3d, parse_label_file, to_box3d, write_result_file
 from .nce import train
 from .refine import refine_scenes, sweep_t
@@ -86,8 +86,8 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
         for i in range(cfg.n_scenes):
             scene = gen_scene_by_index(cfg.synth, i)
             n_boxes += len(scene.gts)
-            iou_sum += sum(bev_iou(to_bev(d.box), to_bev(g.box))
-                           for d, g in zip(scene.initial_dets, scene.gts))
+            iou_sum += sum(pair_iou(box_rows([d.box for d in scene.initial_dets]),
+                                    box_rows([g.box for g in scene.gts]), "bev").tolist())
             yield scene
 
     save_dataset(scenes(), ["train"] * len(train_ids) + ["val"] * len(val_ids), args.out)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import Box3D, iou_matrix
+from .geometry import Box3D, box_rows, pair_iou
 
 RECALL_POSITIONS = np.arange(1, 41) / 40.0
 
@@ -94,34 +94,44 @@ class APResult:
     num_gt: int = 0
 
 
-def _match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndarray) -> np.ndarray:
-    """Labels (K, T, D) of one scene for T thresholds and K difficulties at once.
+def _slots(scenes) -> np.ndarray:
+    """Mask (S, N) of the slots each of S scenes fills when padded to the longest, N."""
+    counts = np.array([len(scene) for scene in scenes], dtype=int)[:, None]
+    return np.arange(counts.max(initial=0)) < counts
 
-    scores (D,) and iou (D, G) describe the scene; valid (K, G) says which
-    ground truths count at each difficulty. Detections go in descending
-    score order (ties by input order). Each claims the unclaimed ground
-    truth of highest IoU at or above the threshold (the lowest index among
-    equals): a valid one if there is any (TP), else an ignored one (IGNORED).
+
+def _match_scenes(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndarray) -> np.ndarray:
+    """Labels (S, D, K, T) of S scenes' detections for T thresholds and K difficulties at once.
+
+    scores (S, D) and iou (S, D, G) hold each scene's detections and ground
+    truths, padded with NaN IoUs, which clear no threshold; valid (S, K, G)
+    says which ground truths count at each difficulty. In each scene,
+    detections go in descending score order (ties by input order). Each
+    claims the unclaimed ground truth of highest IoU at or above the
+    threshold (the lowest index among equals): a valid one if there is any
+    (TP), else an ignored one (IGNORED). Step r handles every scene's r-th
+    detection in that order.
     """
-    labels = np.full((len(valid), len(thresholds), len(scores)), FP, dtype=int)
-    taken = np.zeros((len(valid), len(thresholds), iou.shape[1]), dtype=bool)
+    n_scenes, n_dets, n_gts = iou.shape
+    labels = np.full((n_scenes, n_dets, valid.shape[1], len(thresholds)), FP, dtype=int)
+    taken = np.zeros((n_scenes, valid.shape[1], len(thresholds), n_gts), dtype=bool)
+    if n_gts == 0:  # nothing to claim: every detection is FP
+        return labels
     thresholds = np.asarray(thresholds, dtype=float)[:, None]
-    valid = valid[:, None, :]
-    # a detection below every threshold on every ground truth stays FP
-    hits = (iou >= np.min(thresholds, initial=np.inf)).any(axis=1)
-    for di in np.argsort(-scores, kind="stable"):
-        if not hits[di]:
-            continue
-        row = iou[di]
+    valid = valid[:, :, None, :]
+    scene = np.arange(n_scenes)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    for di in order.T:
+        row = iou[scene, di][:, None, None, :]
         open_ = (row >= thresholds) & ~taken
         open_valid = open_ & valid
         has_valid = open_valid.any(axis=-1)
         pool = np.where(has_valid[..., None], open_valid, open_)
         found = pool.any(axis=-1)
         best = np.where(pool, row, -np.inf).argmax(axis=-1)
-        ks, ts = np.nonzero(found)
-        taken[ks, ts, best[ks, ts]] = True
-        labels[..., di] = np.where(has_valid, TP, np.where(found, IGNORED, FP))
+        ss, ks, ts = np.nonzero(found)
+        taken[ss, ks, ts, best[ss, ks, ts]] = True
+        labels[scene, di] = np.where(has_valid, TP, np.where(found, IGNORED, FP))
     return labels
 
 
@@ -175,28 +185,33 @@ def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
     for mode in modes:
         if mode not in MODES:
             raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
-    scenes = []
-    for sid in sorted(gts_by_scene):
-        dets = dets_by_scene.get(sid, [])
-        gts = gts_by_scene[sid]
-        valid = np.array([[gt.passes(diff) for gt in gts] for diff in difficulties],
-                         dtype=bool).reshape(len(difficulties), len(gts))
-        scenes.append(([d.box for d in dets], np.array([d.score for d in dets], dtype=float),
-                       [gt.box for gt in gts], valid))
-    num_gt = sum((valid.sum(axis=1) for *_, valid in scenes), np.zeros(len(difficulties), dtype=int))
-    scores = np.concatenate([np.empty(0)] + [s for _, s, _, _ in scenes])
+    sids = sorted(gts_by_scene)
+    dets = [dets_by_scene.get(sid, []) for sid in sids]
+    gts = [gts_by_scene[sid] for sid in sids]
+    # scenes padded to the longest; masked rows in scene id, then input order
+    has_det, has_gt = _slots(dets), _slots(gts)
+    flat_dets = [d for scene in dets for d in scene]
+    flat_gts = [gt for scene in gts for gt in scene]
+    det_rows, gt_rows = np.zeros(has_det.shape + (7,)), np.zeros(has_gt.shape + (7,))
+    det_rows[has_det] = box_rows([d.box for d in flat_dets])
+    gt_rows[has_gt] = box_rows([gt.box for gt in flat_gts])
+    pooled_scores = np.array([d.score for d in flat_dets], dtype=float)
+    scores = np.zeros(has_det.shape)
+    scores[has_det] = pooled_scores
+    valid = np.zeros((len(difficulties),) + has_gt.shape, dtype=bool)  # (K, S, G)
+    valid[:, has_gt] = np.array([[gt.passes(diff) for gt in flat_gts] for diff in difficulties],
+                                dtype=bool).reshape(len(difficulties), len(flat_gts))
+    num_gt = valid.sum(axis=(1, 2))
+    pairs = np.nonzero(has_det[:, :, None] & has_gt[:, None, :])
     results = {}
     for mode in modes:
-        # (K, T, pooled detections): scenes in id order, detections in input order
-        labels = np.concatenate(
-            [np.empty((len(difficulties), len(thresholds), 0), dtype=int)]
-            + [_match_scene(s, iou_matrix(dets, gts, mode), thresholds, valid)
-               for dets, s, gts, valid in scenes],
-            axis=-1,
-        )
+        iou = np.full(has_det.shape + has_gt.shape[1:], np.nan)
+        iou[pairs] = pair_iou(det_rows[pairs[:2]], gt_rows[pairs[0], pairs[2]], mode)
+        # (K, T, pooled detections)
+        labels = _match_scenes(scores, iou, thresholds, valid.transpose(1, 0, 2))[has_det].transpose(1, 2, 0)
         for k, difficulty in enumerate(difficulties):
             for t, thr in enumerate(thresholds):
                 keep = labels[k, t] != IGNORED
                 results[(mode, thr, difficulty)] = average_precision(
-                    labels[k, t, keep] == TP, scores[keep], int(num_gt[k]))
+                    labels[k, t, keep] == TP, pooled_scores[keep], int(num_gt[k]))
     return results

@@ -18,7 +18,7 @@ import numpy as np
 # below AREA_EPS count as empty. Keeps touching boxes stable.
 VERTEX_MERGE_EPS = 1e-9
 AREA_EPS = 1e-12
-# Relative slack of the far-pair test in `iou_matrix`.
+# Relative slack of the far-pair test in `pair_iou`.
 FAR_SLACK = 1e-9
 
 
@@ -84,156 +84,194 @@ def to_bev(box: Box3D) -> BoxBEV:
     return BoxBEV(box.cx, box.cy, box.w, box.l, box.yaw)
 
 
+# Columns of a box row (cx, cy, cz, h, w, l, yaw) that make its BEV row (cx, cy, w, l, yaw).
+_BEV = [0, 1, 4, 5, 6]
+
+
+def _corners(bev: np.ndarray) -> np.ndarray:
+    """Corners (N, 4, 2) of N BEV rows, counter-clockwise: center + R(yaw) @ (+-l/2, +-w/2)."""
+    # libm's cos and sin: numpy's vectorized ones need not round the same
+    c = np.array([math.cos(yaw) for yaw in bev[:, 4].tolist()])
+    s = np.array([math.sin(yaw) for yaw in bev[:, 4].tolist()])
+    hl, hw = bev[:, 3] / 2.0, bev[:, 2] / 2.0
+    local = np.stack([hl, hw, -hl, hw, -hl, -hw, hl, -hw], axis=1).reshape(-1, 4, 2)
+    rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    # one (4, 2) @ (2, 2) BLAS product per box, rounded as for a lone box
+    return local @ rot.transpose(0, 2, 1) + bev[:, None, :2]
+
+
 def bev_corners(box: BoxBEV) -> np.ndarray:
     """The four corners (4, 2), counter-clockwise: center + R(yaw) @ (+-l/2, +-w/2)."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    hl, hw = box.l / 2.0, box.w / 2.0
-    local = np.array([(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)])
-    rot = np.array([(c, -s), (s, c)])
-    return local @ rot.T + np.array([box.cx, box.cy])
+    return _corners(box.as_array()[None])[0]
+
+
+def _areas(poly: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Shoelace areas (absolute values) of padded polygons (P, K, 2) with n (P,)
+    vertices; 0 for fewer than 3 vertices.
+
+    One `vecdot` per vertex count, so that each row is one BLAS dot product
+    with the length and strides it has for a lone polygon, rounded the same.
+    """
+    out = np.zeros(len(n))
+    for m in (np.flatnonzero(np.bincount(n)[3:]) + 3).tolist():
+        rows = np.flatnonzero(n == m)
+        sub = poly[rows, :m]
+        x, y = sub[:, :, 0], sub[:, :, 1]
+        nxt = np.arange(1, m + 1) % m  # index of each vertex's successor
+        out[rows] = np.abs(np.vecdot(x, y[:, nxt]) - np.vecdot(y, x[:, nxt])) / 2.0
+    return out
 
 
 def polygon_area(vertices: np.ndarray) -> float:
     """Shoelace area (absolute value); 0 for fewer than 3 vertices."""
-    n = len(vertices)
-    if n < 3:
-        return 0.0
-    x, y = vertices[:, 0], vertices[:, 1]
-    nxt = np.arange(1, n + 1) % n  # index of each vertex's successor
-    return abs(float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))) / 2.0
+    return float(_areas(vertices[None], np.array([len(vertices)]))[0])
 
 
-def _merge_close_vertices(poly: list) -> list:
-    out = []
-    for p in poly:
-        if out and abs(p[0] - out[-1][0]) < VERTEX_MERGE_EPS and abs(p[1] - out[-1][1]) < VERTEX_MERGE_EPS:
-            continue
-        out.append(p)
-    while len(out) >= 2 and abs(out[0][0] - out[-1][0]) < VERTEX_MERGE_EPS and abs(out[0][1] - out[-1][1]) < VERTEX_MERGE_EPS:
-        out.pop()
+def _close(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether points (..., 2) lie within VERTEX_MERGE_EPS in both coordinates."""
+    return (np.abs(p[..., 0] - q[..., 0]) < VERTEX_MERGE_EPS) & (np.abs(p[..., 1] - q[..., 1]) < VERTEX_MERGE_EPS)
+
+
+def _clip(subject: np.ndarray, clip: np.ndarray):
+    """Sutherland-Hodgman intersections of P pairs of convex CCW quadrilaterals
+    (P, 4, 2): padded polygons (P, K, 2) and their vertex counts (P,).
+
+    Points exactly on a clip edge count as inside, so clipping a polygon
+    against itself returns its own vertices. A vertex within
+    VERTEX_MERGE_EPS of the last one kept is dropped, then closing vertices
+    within it of the first; a polygon left with fewer than 3 vertices has
+    count 0.
+    """
+    p_rows = len(subject)
+    every = np.arange(p_rows)
+    poly, n = subject, np.full(p_rows, 4)
+    for k in range(4):
+        ax, ay = clip[:, k, 0, None], clip[:, k, 1, None]
+        ex, ey = clip[:, (k + 1) % 4, 0, None] - ax, clip[:, (k + 1) % 4, 1, None] - ay
+        slot = np.arange(poly.shape[1])
+        prev = (slot - 1) % np.maximum(n, 1)[:, None]  # each vertex's predecessor
+        qx, qy = poly[:, :, 0], poly[:, :, 1]
+        # inside = point is on or to the left of the directed edge a->b
+        q_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
+        px, py, p_in = (v[every[:, None], prev] for v in (qx, qy, q_in))
+        # where segment p->q crosses the edge line, the crossing comes before q
+        dx, dy = qx - px, qy - py
+        den = ex * dy - ey * dx
+        present = slot < n[:, None]
+        cross = present & (q_in != p_in) & (den != 0.0)
+        keep = present & q_in
+        end = np.cumsum(cross.astype(int) + keep, axis=1)
+        n = end[:, -1]
+        poly = np.zeros((p_rows, max(int(n.max(initial=0)), 1), 2))
+        r, j = np.nonzero(cross)
+        t = (ex[r, 0] * (ay[r, 0] - py[r, j]) - ey[r, 0] * (ax[r, 0] - px[r, j])) / den[r, j]
+        at = end[r, j] - 1 - keep[r, j]
+        poly[r, at, 0] = px[r, j] + t * dx[r, j]
+        poly[r, at, 1] = py[r, j] + t * dy[r, j]
+        r, j = np.nonzero(keep)
+        poly[r, end[r, j] - 1, 0] = qx[r, j]
+        poly[r, end[r, j] - 1, 1] = qy[r, j]
+    # drop each vertex that is close to the last one kept; only polygons
+    # with close neighbours can lose one, and they go vertex by vertex
+    kept = np.arange(poly.shape[1]) < n[:, None]
+    rows = np.flatnonzero((kept[:, 1:] & _close(poly[:, 1:], poly[:, :-1])).any(axis=1))
+    last = poly[rows, 0]
+    for j in range(1, poly.shape[1] if rows.size else 0):
+        kept[rows, j] &= ~_close(poly[rows, j], last)
+        last = np.where(kept[rows, j, None], poly[rows, j], last)
+    r, j = np.nonzero(kept)
+    merged = np.zeros_like(poly)
+    merged[r, np.cumsum(kept, axis=1)[r, j] - 1] = poly[r, j]
+    n = kept.sum(axis=1)
+    # then the closing vertices that are close to the first
+    while True:
+        drop = (n >= 2) & _close(merged[:, 0], merged[every, np.maximum(n - 1, 0)])
+        if not drop.any():
+            break
+        n = n - drop
+    return merged, np.where(n >= 3, n, 0)
+
+
+def _near(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """Which pairs of box rows a[p], b[p] can overlap: those whose
+    circumscribed circles meet and, in 3D, whose vertical extents overlap."""
+    dx = a[:, 0] - b[:, 0]
+    dy = a[:, 1] - b[:, 1]
+    # a box lies inside the circle of radius hypot(w, l) / 2 about its center
+    reach = np.hypot(a[:, 4], a[:, 5]) / 2.0 + np.hypot(b[:, 4], b[:, 5]) / 2.0
+    # slack far above the rounding of corners at these center magnitudes
+    magnitude = (np.abs(a[:, 0]) + np.abs(a[:, 1])) + (np.abs(b[:, 0]) + np.abs(b[:, 1]))
+    near = dx * dx + dy * dy <= (reach + FAR_SLACK * (reach + magnitude)) ** 2
+    if mode == "3d":
+        top = np.minimum(a[:, 2] + a[:, 3] / 2.0, b[:, 2] + b[:, 3] / 2.0)
+        near &= top - np.maximum(a[:, 2] - a[:, 3] / 2.0, b[:, 2] - b[:, 3] / 2.0) > 0.0
+    return near
+
+
+def _clipped_iou(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """IoU of `_near` pairs of box rows by clipping, each pair in canonical
+    order: the row with the smaller key (the whole row, or in BEV the BEV
+    row) is the subject, so swapping a and b changes no bit."""
+    key_a, key_b = (a, b) if mode == "3d" else (a[:, _BEV], b[:, _BEV])
+    first = (key_a != key_b).argmax(axis=1)  # first differing column, 0 for equal keys
+    every = np.arange(len(a))
+    swap = (key_a[every, first] > key_b[every, first])[:, None]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    if mode == "3d":
+        bottom_a, top_a = a[:, 2] - a[:, 3] / 2.0, a[:, 2] + a[:, 3] / 2.0
+        bottom_b, top_b = b[:, 2] - b[:, 3] / 2.0, b[:, 2] + b[:, 3] / 2.0
+    else:
+        # a BEV box spans unit height, so the heights and the overlap are
+        # exactly 1.0 and every product with them is exact: the 3D formula
+        # then gives the BEV IoU
+        bottom_a = bottom_b = np.zeros(len(a))
+        top_a = top_b = np.ones(len(a))
+    corners = _corners(np.concatenate([a[:, _BEV], b[:, _BEV]]))
+    area = _areas(*_clip(corners[:len(a)], corners[len(a):]))
+    overlap = np.minimum(top_a, top_b) - np.maximum(bottom_a, bottom_b)
+    inter = area * overlap
+    base = _areas(corners, np.full(len(corners), 4))
+    vol_a = base[:len(a)] * (top_a - bottom_a)
+    vol_b = base[len(a):] * (top_b - bottom_b)
+    return np.where(area >= AREA_EPS, inter / (vol_a + vol_b - inter), 0.0)
+
+
+def pair_iou(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """IoU (P,) of the pairs of box rows a[p], b[p] (P, 7), rows in the order
+    (cx, cy, cz, h, w, l, yaw): 3D IoU (mode "3d") or the IoU of the BEV
+    projections (mode "bev").
+
+    Pairs whose circumscribed circles are apart, or (3D) whose vertical
+    extents do not overlap, are 0 without clipping; all others are clipped
+    together in one batch. Rows must be finite.
+    """
+    if mode not in ("3d", "bev"):
+        raise ValueError(f"unknown IoU mode {mode!r}")
+    out = np.zeros(len(a))
+    near = np.flatnonzero(_near(a, b, mode))
+    if near.size:
+        out[near] = _clipped_iou(a[near], b[near], mode)
     return out
 
 
-def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman intersection of two convex CCW polygons.
-
-    Points exactly on a clip edge count as inside, so clipping a polygon
-    against itself returns its own vertices.
-    """
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for k in range(n):
-        if not output:
-            break
-        ax, ay = clip[k]
-        bx, by = clip[(k + 1) % n]
-        ex, ey = bx - ax, by - ay
-        inp = output
-        output = []
-        px, py = inp[-1]
-        # inside = point is on or to the left of the directed edge a->b
-        p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
-        for qx, qy in inp:
-            q_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
-            if q_in != p_in:
-                # segment p->q crosses the edge line; compute the crossing
-                dx, dy = qx - px, qy - py
-                den = ex * dy - ey * dx
-                if den != 0.0:
-                    t = (ex * (ay - py) - ey * (ax - px)) / den
-                    output.append((px + t * dx, py + t * dy))
-            if q_in:
-                output.append((qx, qy))
-            px, py, p_in = qx, qy, q_in
-    output = _merge_close_vertices(output)
-    if len(output) < 3:
-        return np.empty((0, 2))
-    return np.array(output)
+def box_rows(boxes) -> np.ndarray:
+    """(N, 7) rows of a sequence of `Box3D`s."""
+    return np.array([box.as_array() for box in boxes]).reshape(len(boxes), 7)
 
 
-def _solid(box: BoxBEV, bottom: float = 0.0, top: float = 1.0):
-    """What the pair routine needs of a box: BEV corners, bottom, top.
-
-    The BEV default spans unit height, so the heights and the overlap are
-    exactly 1.0 and every product with them is exact: the 3D formula then
-    gives the BEV IoU bit for bit.
-    """
-    return bev_corners(box), bottom, top
-
-
-def _iou_ordered(a, b) -> float:
-    """IoU of one canonically ordered pair of `_solid`s: the one clip and IoU formula."""
-    corners_a, bottom_a, top_a = a
-    corners_b, bottom_b, top_b = b
-    overlap = min(top_a, top_b) - max(bottom_a, bottom_b)
-    if overlap <= 0.0:
-        return 0.0
-    inter = polygon_area(clip_convex(corners_a, corners_b))
-    if inter < AREA_EPS:
-        return 0.0
-    inter *= overlap
-    vol_a = polygon_area(corners_a) * (top_a - bottom_a)
-    vol_b = polygon_area(corners_b) * (top_b - bottom_b)
-    return inter / (vol_a + vol_b - inter)
-
-
-def _ordered(a, b):
-    # Canonical argument order makes iou(a, b) == iou(b, a) bit-exact.
-    return (a, b) if tuple(a.as_array()) <= tuple(b.as_array()) else (b, a)
-
-
-def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
-    """Oriented BEV intersection-over-union, in [0, 1]."""
-    a, b = _ordered(a, b)
-    return _iou_ordered(_solid(a), _solid(b))
+def iou_matrix(a_boxes, b_boxes, mode: str) -> np.ndarray:
+    """(len(a_boxes), len(b_boxes)) matrix of `pair_iou` over all pairs."""
+    a, b = box_rows(a_boxes), box_rows(b_boxes)
+    return pair_iou(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), mode).reshape(len(a), len(b))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D IoU: BEV intersection area times vertical overlap, over the union volume."""
-    a, b = _ordered(a, b)
-    return _iou_ordered(_solid(to_bev(a), a.bottom, a.top), _solid(to_bev(b), b.bottom, b.top))
+    return float(pair_iou(a.as_array()[None], b.as_array()[None], "3d")[0])
 
 
-def _keyed_solid(box: Box3D, mode: str):
-    """A box's ordering key and solid as `iou_3d` (mode "3d") or `bev_iou` on
-    its BEV projection (mode "bev") sees them."""
-    bev = to_bev(box)
-    if mode == "3d":
-        return tuple(box.as_array()), _solid(bev, box.bottom, box.top)
-    return tuple(bev.as_array()), _solid(bev)
-
-
-def iou_matrix(a_boxes, b_boxes, mode: str) -> np.ndarray:
-    """(len(a_boxes), len(b_boxes)) matrix of `iou_3d(a, b)` (mode "3d") or
-    of `bev_iou(to_bev(a), to_bev(b))` (mode "bev"), equal bit for bit.
-
-    Pairs whose circumscribed circles are apart, or (3D) whose vertical
-    extents do not overlap, are 0 without clipping. The other pairs go
-    through the scalar pair routine in the scalar functions' canonical
-    order, with corners computed once per box. Boxes must be finite.
-    """
-    if mode not in ("3d", "bev"):
-        raise ValueError(f"unknown IoU mode {mode!r}")
-    out = np.zeros((len(a_boxes), len(b_boxes)))
-    if out.size == 0:
-        return out
-    a = np.array([box.as_array() for box in a_boxes])
-    b = np.array([box.as_array() for box in b_boxes])
-    dx = a[:, None, 0] - b[None, :, 0]
-    dy = a[:, None, 1] - b[None, :, 1]
-    # a box lies inside the circle of radius hypot(w, l) / 2 about its center
-    reach = np.hypot(a[:, 4], a[:, 5])[:, None] / 2.0 + np.hypot(b[:, 4], b[:, 5])[None, :] / 2.0
-    # slack far above the rounding of corners at these center magnitudes
-    magnitude = (np.abs(a[:, 0]) + np.abs(a[:, 1]))[:, None] + (np.abs(b[:, 0]) + np.abs(b[:, 1]))[None, :]
-    near = dx * dx + dy * dy <= (reach + FAR_SLACK * (reach + magnitude)) ** 2
-    if mode == "3d":
-        bottom_a, top_a = a[:, 2] - a[:, 3] / 2.0, a[:, 2] + a[:, 3] / 2.0
-        bottom_b, top_b = b[:, 2] - b[:, 3] / 2.0, b[:, 2] + b[:, 3] / 2.0
-        near &= np.minimum(top_a[:, None], top_b[None, :]) - np.maximum(bottom_a[:, None], bottom_b[None, :]) > 0.0
-    rows, cols = np.nonzero(near)
-    solids_a = {i: _keyed_solid(a_boxes[i], mode) for i in set(rows.tolist())}
-    solids_b = {j: _keyed_solid(b_boxes[j], mode) for j in set(cols.tolist())}
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        (key_a, solid_a), (key_b, solid_b) = solids_a[i], solids_b[j]
-        out[i, j] = _iou_ordered(solid_a, solid_b) if key_a <= key_b else _iou_ordered(solid_b, solid_a)
-    return out
+def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
+    """Oriented BEV intersection-over-union, in [0, 1]."""
+    # mode "bev" reads no vertical field: cz and h are placeholders
+    a, b = (np.array([[box.cx, box.cy, 0.0, 1.0, box.w, box.l, box.yaw]]) for box in (a, b))
+    return float(pair_iou(a, b, "bev")[0])

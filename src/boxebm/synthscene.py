@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, GenerationError, InputError
 from .evalkit import GroundTruth
 from .featuregrid import FeatureGrid
-from .geometry import Box3D, bev_iou, to_bev
+from .geometry import Box3D, iou_matrix
 from .refine import Detection
 
 SCENE_MAGIC = b"BEVSCENE"
@@ -63,16 +63,18 @@ class SynthConfig:
     def __post_init__(self):
         if self.channels < 4:
             raise ConfigError("need at least the 4 base feature channels")
-        if len(self.det_noise) != 7 or any(s < 0 for s in self.det_noise):
-            raise ConfigError("det_noise must be 7 non-negative scales")
+        if len(self.det_noise) != 7 or not all(0.0 <= s < math.inf for s in self.det_noise):
+            raise ConfigError(f"synth.det_noise must be 7 finite scales >= 0, got {self.det_noise}")
         if self.cars_min < 0 or self.cars_max < self.cars_min:
             raise ConfigError("invalid cars-per-scene range")
         for key in ("size_h", "size_w", "size_l"):
             size = getattr(self, key)
             if len(size) != 2 or not 0.0 < size[0] <= size[1] < math.inf:
                 raise ConfigError(f"synth.{key} must be two finite values 0 < low <= high, got {size}")
-        if not self.cz_std >= 0.0:
-            raise ConfigError(f"synth.cz_std must be >= 0, got {self.cz_std}")
+        if not math.isfinite(self.cz_mean):
+            raise ConfigError(f"synth.cz_mean must be finite, got {self.cz_mean}")
+        if not 0.0 <= self.cz_std < math.inf:
+            raise ConfigError(f"synth.cz_std must be finite and >= 0, got {self.cz_std}")
         if not 0.0 < self.res < math.inf:
             raise ConfigError(f"synth.res must be finite and > 0, got {self.res}")
         if not 0.0 <= self.margin < math.inf:
@@ -179,7 +181,7 @@ def _place_boxes(cfg: SynthConfig, n: int, rng: np.random.Generator) -> list[Box
             l=float(rng.uniform(*cfg.size_l)),
             yaw=float(rng.uniform(-np.pi, np.pi)),
         )
-        if all(bev_iou(to_bev(cand), to_bev(b)) < cfg.max_pair_iou for b in boxes):
+        if (iou_matrix([cand], boxes, "bev") < cfg.max_pair_iou).all():
             boxes.append(cand)
     return boxes
 

@@ -1,7 +1,10 @@
 """Independent oracles shared by module and acceptance tests.
 
 Everything here deliberately avoids the library's own computation paths:
-inside-box tests work in box-local coordinates, areas come from sampling.
+inside-box tests work in box-local coordinates, areas come from sampling,
+and the exact references (`reference_iou`, `reference_match_scene`) are the
+scalar pair clip and the per-scene matcher that the batched kernels
+replaced, kept verbatim so the kernels can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ import math
 
 import numpy as np
 
-from boxebm.geometry import Box3D, BoxBEV
+from boxebm.evalkit import FP, IGNORED, TP
+from boxebm.geometry import AREA_EPS, VERTEX_MERGE_EPS, Box3D, BoxBEV, to_bev
 
 
 def points_in_bev(box: BoxBEV, pts: np.ndarray) -> np.ndarray:
@@ -53,6 +57,114 @@ def aligned_bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     if inter == 0.0:
         return 0.0
     return inter / (a.w * a.l + b.w * b.l - inter)
+
+
+def _reference_corners(box: BoxBEV) -> np.ndarray:
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hl, hw = box.l / 2.0, box.w / 2.0
+    local = np.array([(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)])
+    rot = np.array([(c, -s), (s, c)])
+    return local @ rot.T + np.array([box.cx, box.cy])
+
+
+def _reference_area(vertices: np.ndarray) -> float:
+    n = len(vertices)
+    if n < 3:
+        return 0.0
+    x, y = vertices[:, 0], vertices[:, 1]
+    nxt = np.arange(1, n + 1) % n
+    return abs(float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))) / 2.0
+
+
+def _merge_close_vertices(poly: list) -> list:
+    out = []
+    for p in poly:
+        if out and abs(p[0] - out[-1][0]) < VERTEX_MERGE_EPS and abs(p[1] - out[-1][1]) < VERTEX_MERGE_EPS:
+            continue
+        out.append(p)
+    while len(out) >= 2 and abs(out[0][0] - out[-1][0]) < VERTEX_MERGE_EPS and abs(out[0][1] - out[-1][1]) < VERTEX_MERGE_EPS:
+        out.pop()
+    return out
+
+
+def reference_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman intersection of two convex CCW polygons, one pair
+    at a time in Python floats; points on a clip edge count as inside."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for k in range(n):
+        if not output:
+            break
+        ax, ay = clip[k]
+        bx, by = clip[(k + 1) % n]
+        ex, ey = bx - ax, by - ay
+        inp = output
+        output = []
+        px, py = inp[-1]
+        p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
+        for qx, qy in inp:
+            q_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
+            if q_in != p_in:
+                dx, dy = qx - px, qy - py
+                den = ex * dy - ey * dx
+                if den != 0.0:
+                    t = (ex * (ay - py) - ey * (ax - px)) / den
+                    output.append((px + t * dx, py + t * dy))
+            if q_in:
+                output.append((qx, qy))
+            px, py, p_in = qx, qy, q_in
+    output = _merge_close_vertices(output)
+    if len(output) < 3:
+        return np.empty((0, 2))
+    return np.array(output)
+
+
+def reference_iou(a: Box3D, b: Box3D, mode: str) -> float:
+    """IoU of one pair, 3D (mode "3d") or of the BEV projections (mode "bev"),
+    by the scalar clip with no far-pair test. The pair is taken in the
+    canonical order (smaller key first) and a BEV box spans unit height."""
+    if mode == "3d":
+        key_a, key_b = tuple(a.as_array()), tuple(b.as_array())
+        solid_a, solid_b = (to_bev(a), a.bottom, a.top), (to_bev(b), b.bottom, b.top)
+    else:
+        key_a, key_b = tuple(to_bev(a).as_array()), tuple(to_bev(b).as_array())
+        solid_a, solid_b = (to_bev(a), 0.0, 1.0), (to_bev(b), 0.0, 1.0)
+    (bev_a, bottom_a, top_a), (bev_b, bottom_b, top_b) = (solid_a, solid_b) if key_a <= key_b else (solid_b, solid_a)
+    overlap = min(top_a, top_b) - max(bottom_a, bottom_b)
+    if overlap <= 0.0:
+        return 0.0
+    corners_a, corners_b = _reference_corners(bev_a), _reference_corners(bev_b)
+    inter = _reference_area(reference_clip(corners_a, corners_b))
+    if inter < AREA_EPS:
+        return 0.0
+    inter *= overlap
+    vol_a = _reference_area(corners_a) * (top_a - bottom_a)
+    vol_b = _reference_area(corners_b) * (top_b - bottom_b)
+    return inter / (vol_a + vol_b - inter)
+
+
+def reference_match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndarray) -> np.ndarray:
+    """Labels (K, T, D) of one scene for T thresholds and K difficulties: the
+    per-scene greedy matcher. scores (D,), iou (D, G), valid (K, G)."""
+    labels = np.full((len(valid), len(thresholds), len(scores)), FP, dtype=int)
+    taken = np.zeros((len(valid), len(thresholds), iou.shape[1]), dtype=bool)
+    thresholds = np.asarray(thresholds, dtype=float)[:, None]
+    valid = valid[:, None, :]
+    hits = (iou >= np.min(thresholds, initial=np.inf)).any(axis=1)
+    for di in np.argsort(-scores, kind="stable"):
+        if not hits[di]:
+            continue
+        row = iou[di]
+        open_ = (row >= thresholds) & ~taken
+        open_valid = open_ & valid
+        has_valid = open_valid.any(axis=-1)
+        pool = np.where(has_valid[..., None], open_valid, open_)
+        found = pool.any(axis=-1)
+        best = np.where(pool, row, -np.inf).argmax(axis=-1)
+        ks, ts = np.nonzero(found)
+        taken[ks, ts, best[ks, ts]] = True
+        labels[..., di] = np.where(has_valid, TP, np.where(found, IGNORED, FP))
+    return labels
 
 
 def random_bev_box(rng: np.random.Generator, span: float = 4.0) -> BoxBEV:

@@ -481,6 +481,12 @@ class TestMalformedInputs:
         ("eval", "eval.thresholds=nan"),
         ("synth-gen", "synth.size_l=5"),
         ("synth-gen", "synth.cz_std=-1"),
+        ("synth-gen", "synth.cz_std=inf"),
+        ("synth-gen", "synth.cz_mean=nan"),
+        ("synth-gen", "synth.cz_mean=-inf"),
+        ("synth-gen", "synth.det_noise=0,0,0,0,0,0,inf"),
+        ("synth-gen", "synth.det_noise=0,0,0,0,0,0,nan"),
+        ("synth-gen", "synth.det_noise=0,0,0,0,0,0,-1"),
         ("synth-gen", "synth.size_h="),
         ("train", "noise.ratios="),
         ("train", "net.enc_dim=0"),

@@ -15,9 +15,10 @@ from boxebm.evalkit import (
     evaluate,
     relative_gain,
 )
-from boxebm.evalkit import _match_scene
+from boxebm.evalkit import _match_scenes
 from boxebm.geometry import Box3D, bev_iou, iou_3d, iou_matrix, to_bev
 from boxebm.refine import Detection
+from helpers import reference_match_scene
 
 
 def car_at(cx, cy, yaw=0.0, cz=0.8, h=1.6, w=1.7, l=4.0):
@@ -38,7 +39,12 @@ def match_greedy(dets, gts, threshold, difficulty=None):
     scores = np.array([d.score for d in dets])
     iou = iou_matrix([d.box for d in dets], [gt.box for gt in gts], "3d")
     valid = np.array([[gt.passes(difficulty) for gt in gts]], dtype=bool)
-    return _match_scene(scores, iou, [threshold], valid)[0, 0]
+    return match_one_scene(scores, iou, [threshold], valid)[0, 0]
+
+
+def match_one_scene(scores, iou, thresholds, valid):
+    """`_match_scenes` on a single scene, as labels (K, T, D)."""
+    return _match_scenes(scores[None], iou[None], thresholds, valid[None])[0].transpose(1, 2, 0)
 
 
 class TestMatchGreedy:
@@ -120,7 +126,7 @@ class TestMatchKernel:
             iou[rng.random((d, g)) < 0.2] = rng.uniform(0, 1)
             scores = rng.choice([0.2, 0.4, 0.6, 0.8], size=d)  # tied scores too
             valid = rng.random((k, g)) < 0.6
-            labels = _match_scene(scores, iou, self.THRESHOLDS, valid)
+            labels = match_one_scene(scores, iou, self.THRESHOLDS, valid)
             assert labels.shape == (k, len(self.THRESHOLDS), d)
             for ki in range(k):
                 for ti, thr in enumerate(self.THRESHOLDS):
@@ -159,6 +165,50 @@ class TestMatchKernel:
                     expect = average_precision(flags, scores, num_gt)
                     assert out[(mode, thr, diff)].pr_curve == expect.pr_curve
                     assert out[(mode, thr, diff)].ap == expect.ap
+
+
+@st.composite
+def multi_scene_instance(draw):
+    """Scenes of detection scores, IoUs and difficulty masks, with tied
+    scores, IoUs tied with each other and with the thresholds, ignored
+    ground truths, duplicate detections on one ground truth, and scenes
+    without detections or without ground truths."""
+    n_diff = draw(st.integers(1, 3))
+    scenes = []
+    for _ in range(draw(st.integers(1, 6))):
+        d, g = draw(st.integers(0, 7)), draw(st.integers(0, 5))
+        scores = np.array(draw(st.lists(st.sampled_from([0.2, 0.5, 0.8, 0.9]), min_size=d, max_size=d)))
+        cell = st.one_of(st.sampled_from([0.0, 0.5, 0.7, 0.75, 0.9, 1.0]), st.floats(0.0, 1.0))
+        iou = np.array(draw(st.lists(cell, min_size=d * g, max_size=d * g))).reshape(d, g)
+        if d >= 2 and g >= 1 and draw(st.booleans()):  # two detections on one ground truth
+            iou[1] = iou[0]
+        valid = np.array(draw(st.lists(st.booleans(), min_size=n_diff * g, max_size=n_diff * g)),
+                         dtype=bool).reshape(n_diff, g)
+        scenes.append((scores, iou, valid))
+    return scenes
+
+
+class TestMatchScenes:
+    THRESHOLDS = (0.0, 0.5, 0.7, 0.75, 0.9)
+
+    @given(multi_scene_instance())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_scene_matcher(self, scenes):
+        n_dets = max(len(s) for s, _, _ in scenes)
+        n_gts = max(iou.shape[1] for _, iou, _ in scenes)
+        # padding: NaN IoUs, and scores that rank among the real ones
+        scores = np.full((len(scenes), n_dets), 0.5)
+        iou = np.full((len(scenes), n_dets, n_gts), np.nan)
+        valid = np.zeros((len(scenes), len(scenes[0][2]), n_gts), dtype=bool)
+        for k, (s, m, v) in enumerate(scenes):
+            scores[k, :len(s)] = s
+            iou[k, :m.shape[0], :m.shape[1]] = m
+            valid[k, :, :m.shape[1]] = v
+        labels = _match_scenes(scores, iou, self.THRESHOLDS, valid)
+        assert labels.shape == (len(scenes), n_dets, len(valid[0]), len(self.THRESHOLDS))
+        for k, (s, m, v) in enumerate(scenes):
+            expect = reference_match_scene(s, m, self.THRESHOLDS, v)
+            assert labels[k, :len(s)].transpose(1, 2, 0).tolist() == expect.tolist()
 
 
 class TestAveragePrecision:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxebm.geometry import Box3D, BoxBEV, bev_corners, bev_iou, iou_3d, iou_matrix, polygon_area, to_bev
-from helpers import aligned_bev_iou, mc_bev_iou, random_bev_box
+from boxebm.geometry import (Box3D, BoxBEV, bev_corners, bev_iou, box_rows, iou_3d, iou_matrix, pair_iou,
+                             polygon_area, to_bev)
+from helpers import aligned_bev_iou, mc_bev_iou, random_bev_box, reference_clip, reference_iou
 
 
 def corners_set(corners):
@@ -168,13 +169,16 @@ class TestIou3d:
 @st.composite
 def related_box(draw, a: Box3D) -> Box3D:
     """A box in one of the relations to `a` that stress the far-pair test and the clip."""
-    kind = draw(st.sampled_from(["random", "identical", "two_pi", "edge", "circle", "corner", "stacked"]))
+    kind = draw(st.sampled_from(["random", "identical", "two_pi", "edge", "circle", "corner", "stacked",
+                                 "nested", "on_edge", "through_corner", "collinear", "quarter"]))
     if kind == "random":
         return draw(box3d_st)
     if kind == "identical":
         return a
     if kind == "two_pi":
         return Box3D(a.cx, a.cy, a.cz, a.h, a.w, a.l, a.yaw + 2 * math.pi)
+    if kind == "quarter":
+        return Box3D(a.cx, a.cy, a.cz, a.h, a.w, a.l, a.yaw + draw(st.sampled_from([-1, 1, 2])) * math.pi / 2)
     if kind == "stacked":  # zero vertical overlap: b's bottom is a's top
         h = draw(st.floats(0.2, 3))
         return Box3D(a.cx, a.cy, a.top + h / 2.0, h, a.w, a.l, a.yaw)
@@ -182,6 +186,31 @@ def related_box(draw, a: Box3D) -> Box3D:
         l = draw(st.floats(0.2, 6))
         d = (a.l + l) / 2.0
         return Box3D(a.cx + d * math.cos(a.yaw), a.cy + d * math.sin(a.yaw), a.cz, a.h, a.w, l, a.yaw)
+    if kind == "nested":  # inside a in BEV (its circumscribed circle is), any heading
+        side = min(a.w, a.l) / math.sqrt(2.0)
+        return Box3D(a.cx, a.cy, a.cz, a.h * draw(st.floats(0.1, 1.0)), side * draw(st.floats(0.1, 0.99)),
+                     side * draw(st.floats(0.1, 0.99)), draw(st.floats(-7, 7)))
+    if kind == "on_edge":  # a corner of b on an edge of a (to rounding), b's body outside or across it
+        corners = bev_corners(to_bev(a))
+        k, u = draw(st.integers(0, 3)), draw(st.floats(0.0, 1.0))
+        px, py = corners[k] + u * (corners[(k + 1) % 4] - corners[k])
+        b = draw(box3d_st)
+        c, s = math.cos(b.yaw), math.sin(b.yaw)
+        return Box3D(px - c * b.l / 2 + s * b.w / 2, py - s * b.l / 2 - c * b.w / 2, b.cz, b.h, b.w, b.l, b.yaw)
+    if kind == "through_corner":  # an edge of b through a corner of a (to rounding), b on either side
+        px, py = bev_corners(to_bev(a))[draw(st.integers(0, 3))]
+        b = draw(box3d_st)
+        side, along = draw(st.sampled_from([-0.5, 0.5])) * b.w, draw(st.floats(-0.5, 0.5)) * b.l
+        c, s = math.cos(b.yaw), math.sin(b.yaw)
+        return Box3D(px + c * along - s * side, py + s * along + c * side, b.cz, b.h, b.w, b.l, b.yaw)
+    if kind == "collinear":  # a side of b almost on a's side: tiny turn and offset across it
+        turn = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9]))
+        gap = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9]))
+        w, along = draw(st.floats(0.2, 4)), draw(st.floats(-3, 3))
+        d = (a.w + w) / 2.0 + gap
+        c, s = math.cos(a.yaw), math.sin(a.yaw)
+        return Box3D(a.cx + along * c - d * s, a.cy + along * s + d * c, a.cz, a.h, w, draw(st.floats(0.2, 6)),
+                     a.yaw + turn)
     # circumscribed circles just apart, touching or just overlapping; for
     # "corner" the two boxes point a corner at each other along the center
     # line, so they overlap exactly when the circles do
@@ -202,19 +231,61 @@ def box_lists(draw):
     return a_boxes, b_boxes
 
 
+def assert_equals_reference(a_boxes, b_boxes):
+    """`iou_matrix`, `iou_3d` and `bev_iou` equal the scalar reference clip bit for bit."""
+    for mode in ("3d", "bev"):
+        expect = np.array([[reference_iou(a, b, mode) for b in b_boxes] for a in a_boxes])
+        got = iou_matrix(a_boxes, b_boxes, mode)
+        assert got.shape == (len(a_boxes), len(b_boxes))
+        assert got.tobytes() == expect.tobytes(), mode
+        pair = iou_3d if mode == "3d" else lambda a, b: bev_iou(to_bev(a), to_bev(b))
+        assert np.array([[pair(a, b) for b in b_boxes] for a in a_boxes]).tobytes() == expect.tobytes(), mode
+
+
+def aligned(x0, x1, y0, y1, z0=0.0, z1=1.0) -> Box3D:
+    """Axis-aligned box over [x0, x1] x [y0, y1] x [z0, z1], corners exact in floats."""
+    return Box3D((x0 + x1) / 2, (y0 + y1) / 2, (z0 + z1) / 2, z1 - z0, y1 - y0, x1 - x0, 0.0)
+
+
 class TestIouMatrix:
     @given(box_lists())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_scalar(self, lists):
-        a_boxes, b_boxes = lists
-        scalar = {
-            "3d": [[iou_3d(a, b) for b in b_boxes] for a in a_boxes],
-            "bev": [[bev_iou(to_bev(a), to_bev(b)) for b in b_boxes] for a in a_boxes],
-        }
-        for mode, expect in scalar.items():
-            got = iou_matrix(a_boxes, b_boxes, mode)
-            assert got.shape == (len(a_boxes), len(b_boxes))
-            assert got.tobytes() == np.array(expect).tobytes(), mode
+        assert_equals_reference(*lists)
+
+    def test_exact_contacts(self):
+        a = aligned(0.0, 4.0, 0.0, 2.0)
+        b_boxes = [
+            aligned(1.0, 3.0, 0.0, 3.0),  # two vertices on a's bottom edge, sides across a
+            aligned(1.0, 3.0, 0.5, 1.5, 0.25, 0.75),  # nested
+            aligned(4.0, 6.0, 2.0, 3.0),  # corner to corner
+            aligned(4.0, 6.0, 0.5, 1.5),  # edge to edge
+            aligned(-1.0, 5.0, 0.0, 2.0),  # collinear top and bottom edges
+        ]
+        assert_equals_reference([a], b_boxes)
+        assert iou_matrix([a], b_boxes, "bev").tolist() == [[0.4, 0.25, 0.0, 0.0, 8 / 12]]
+
+    def test_last_vertex_merged_into_first(self):
+        # an edge of the 45-degree box runs through a corner of the square:
+        # the clip ends with a vertex within VERTEX_MERGE_EPS of its first
+        square = Box3D(4.679261899246464, -4.852936950346307, 0.0, 1.0, 2.8185598215614, 2.8185598215614, 0.0)
+        turned = Box3D(6.078935472816652, -8.325544989088867, 0.0, 1.0, 2.9315720345573872, 4.504710000742342,
+                       -math.pi / 4)
+        assert_equals_reference([square], [turned])
+
+    def test_batch_mixes_empty_triangle_and_octagon_clips(self):
+        square = Box3D(0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 0.0)
+        turned = Box3D(0.0, 0.0, 0.0, 1.0, 2.0, 2.0, math.pi / 4)  # octagon with the square
+        poking = Box3D(1.0 + math.sqrt(2) - 0.3, 1.0, 0.0, 1.0, 2.0, 2.0, math.pi / 4)  # corner across a corner
+        apart = Box3D(2.2, 2.2, 0.0, 1.0, 2.0, 2.0, math.pi / 4)  # circles meet, boxes do not
+        pairs = [(square, turned), (square, poking), (square, apart), (turned, square), (apart, square)]
+        sizes = [len(reference_clip(bev_corners(to_bev(a)), bev_corners(to_bev(b)))) for a, b in pairs[:3]]
+        assert sizes == [8, 3, 0]
+        a, b = box_rows([a for a, _ in pairs]), box_rows([b for _, b in pairs])
+        for mode in ("3d", "bev"):
+            expect = np.array([reference_iou(a, b, mode) for a, b in pairs])
+            assert pair_iou(a, b, mode).tobytes() == expect.tobytes()
+        assert 0.7 < expect[0] < 0.71 and 0.0 < expect[1] < 0.05 and expect[2] == 0.0
 
     def test_far_and_stacked_pairs_are_zero(self):
         a = Box3D(0, 0, 1.0, 2.0, 1.7, 4.0, 0.3)
