@@ -35,6 +35,10 @@ MODES = ("3d", "bev")
 # per-detection match labels
 TP, FP, IGNORED = 1, 0, -1
 
+# padded (detection, ground truth) slots per matching pass, which makes one
+# `pair_iou` call: bounds the temporaries of both
+PAIR_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -94,10 +98,14 @@ class APResult:
     num_gt: int = 0
 
 
-def _slots(scenes) -> np.ndarray:
-    """Mask (S, N) of the slots each of S scenes fills when padded to the longest, N."""
-    counts = np.array([len(scene) for scene in scenes], dtype=int)[:, None]
-    return np.arange(counts.max(initial=0)) < counts
+def _padded_index(counts: np.ndarray, members: list) -> np.ndarray:
+    """Pooled indices (M, N) of the items of the M scenes `members`, one row
+    per scene padded with -1 to the longest, N; items are pooled in scene
+    order and counts (S,) holds every scene's item count."""
+    n = counts[members]
+    start = (np.cumsum(counts) - counts)[members]
+    slot = np.arange(n.max(initial=0))
+    return np.where(slot < n[:, None], start[:, None] + slot, -1)
 
 
 def _match_scenes(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.ndarray) -> np.ndarray:
@@ -188,27 +196,45 @@ def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
     sids = sorted(gts_by_scene)
     dets = [dets_by_scene.get(sid, []) for sid in sids]
     gts = [gts_by_scene[sid] for sid in sids]
-    # scenes padded to the longest; masked rows in scene id, then input order
-    has_det, has_gt = _slots(dets), _slots(gts)
+    # pooled in scene id, then input order
     flat_dets = [d for scene in dets for d in scene]
     flat_gts = [gt for scene in gts for gt in scene]
-    det_rows, gt_rows = np.zeros(has_det.shape + (7,)), np.zeros(has_gt.shape + (7,))
-    det_rows[has_det] = box_rows([d.box for d in flat_dets])
-    gt_rows[has_gt] = box_rows([gt.box for gt in flat_gts])
+    det_rows, gt_rows = box_rows([d.box for d in flat_dets]), box_rows([gt.box for gt in flat_gts])
     pooled_scores = np.array([d.score for d in flat_dets], dtype=float)
-    scores = np.zeros(has_det.shape)
-    scores[has_det] = pooled_scores
-    valid = np.zeros((len(difficulties),) + has_gt.shape, dtype=bool)  # (K, S, G)
-    valid[:, has_gt] = np.array([[gt.passes(diff) for gt in flat_gts] for diff in difficulties],
-                                dtype=bool).reshape(len(difficulties), len(flat_gts))
-    num_gt = valid.sum(axis=(1, 2))
-    pairs = np.nonzero(has_det[:, :, None] & has_gt[:, None, :])
+    valid = np.array([[gt.passes(diff) for gt in flat_gts] for diff in difficulties],
+                     dtype=bool).reshape(len(difficulties), len(flat_gts))  # (K, pooled ground truths)
+    num_gt = valid.sum(axis=1)
+    # Scenes with detections, grouped by the bit lengths of their detection
+    # and ground-truth counts, so that padding a group to its longest scene
+    # at most doubles either count; then split into passes of at most
+    # PAIR_BLOCK padded pairs (or one scene). Work and memory follow the
+    # scenes' sizes, not the largest scene's.
+    n_det = np.array([len(scene) for scene in dets], dtype=int)
+    n_gt = np.array([len(scene) for scene in gts], dtype=int)
+    groups = {}
+    for s in np.flatnonzero(n_det).tolist():
+        groups.setdefault((int(n_det[s]).bit_length(), int(n_gt[s]).bit_length()), []).append(s)
+    passes = []
+    for members in groups.values():
+        step = max(1, PAIR_BLOCK // (n_det[members].max() * max(n_gt[members].max(), 1)))
+        passes += [members[k:k + step] for k in range(0, len(members), step)]
     results = {}
     for mode in modes:
-        iou = np.full(has_det.shape + has_gt.shape[1:], np.nan)
-        iou[pairs] = pair_iou(det_rows[pairs[:2]], gt_rows[pairs[0], pairs[2]], mode)
-        # (K, T, pooled detections)
-        labels = _match_scenes(scores, iou, thresholds, valid.transpose(1, 0, 2))[has_det].transpose(1, 2, 0)
+        labels = np.full((len(flat_dets), len(difficulties), len(thresholds)), FP, dtype=int)
+        for members in passes:
+            # pooled indices (M, D) and (M, G), padded with -1; IoUs (M, D, G)
+            # of the pairs in one kernel call, padded with NaN, which clears
+            # no threshold
+            det_ix, gt_ix = _padded_index(n_det, members), _padded_index(n_gt, members)
+            has_det = det_ix >= 0
+            pairs = has_det[:, :, None] & (gt_ix[:, None, :] >= 0)
+            iou = np.full(pairs.shape, np.nan)
+            iou[pairs] = pair_iou(det_rows[np.broadcast_to(det_ix[:, :, None], pairs.shape)[pairs]],
+                                  gt_rows[np.broadcast_to(gt_ix[:, None, :], pairs.shape)[pairs]], mode)
+            scores = np.where(has_det, pooled_scores[det_ix], 0.0)
+            pass_valid = (valid[:, gt_ix] & (gt_ix >= 0)).transpose(1, 0, 2)
+            labels[det_ix[has_det]] = _match_scenes(scores, iou, thresholds, pass_valid)[has_det]
+        labels = labels.transpose(1, 2, 0)  # (K, T, pooled detections)
         for k, difficulty in enumerate(difficulties):
             for t, thr in enumerate(thresholds):
                 keep = labels[k, t] != IGNORED

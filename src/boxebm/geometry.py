@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # Vertices closer than this are merged after clipping; intersection areas
-# below AREA_EPS count as empty. Keeps touching boxes stable. A merge can
-# drop a sliver of about VERTEX_MERGE_EPS times the polygon's width: at 1e-9
-# that cost a box and its yaw + 2*pi twin 1e-9 of IoU on 0.2 m boxes, where
-# two nearly parallel edges cross 2e-10 from a corner.
+# below AREA_EPS count as empty. Keeps touching boxes stable. Kept far
+# below the gaps between true corners: nearly parallel edges of a box and
+# its yaw + 2*pi twin cross 2e-10 m from a corner, and merging the two
+# drops a sliver of about that gap times the polygon's width.
 VERTEX_MERGE_EPS = 1e-12
 AREA_EPS = 1e-12
 # Relative slack of the far-pair test in `pair_iou`.

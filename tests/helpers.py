@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own computation paths:
 inside-box tests work in box-local coordinates, areas come from sampling,
 and the exact references (`reference_iou`, `reference_match_scene`) are the
 scalar pair clip and the per-scene matcher that the batched kernels
-replaced, kept verbatim so the kernels can be checked bit for bit.
+replaced, kept verbatim so the kernels can be checked bit for bit. The
+clip's vertex merge distance, the one deliberate change, is a parameter.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import math
 import numpy as np
 
 from boxebm.evalkit import FP, IGNORED, TP
-from boxebm.geometry import AREA_EPS, VERTEX_MERGE_EPS, Box3D, BoxBEV, to_bev
+from boxebm.geometry import AREA_EPS, Box3D, BoxBEV, to_bev
+
+# Clipped vertices closer than this in both coordinates are merged: the
+# kernel's `VERTEX_MERGE_EPS`, written out so that a change to it is a test
+# change. The scalar clip merged within OLD_MERGE_EPS, which dropped true
+# corners where nearly parallel edges cross (see `TestIouMatrix`).
+MERGE_EPS = 1e-12
+OLD_MERGE_EPS = 1e-9
 
 
 def points_in_bev(box: BoxBEV, pts: np.ndarray) -> np.ndarray:
@@ -76,20 +84,21 @@ def _reference_area(vertices: np.ndarray) -> float:
     return abs(float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))) / 2.0
 
 
-def _merge_close_vertices(poly: list) -> list:
+def _merge_close_vertices(poly: list, eps: float) -> list:
     out = []
     for p in poly:
-        if out and abs(p[0] - out[-1][0]) < VERTEX_MERGE_EPS and abs(p[1] - out[-1][1]) < VERTEX_MERGE_EPS:
+        if out and abs(p[0] - out[-1][0]) < eps and abs(p[1] - out[-1][1]) < eps:
             continue
         out.append(p)
-    while len(out) >= 2 and abs(out[0][0] - out[-1][0]) < VERTEX_MERGE_EPS and abs(out[0][1] - out[-1][1]) < VERTEX_MERGE_EPS:
+    while len(out) >= 2 and abs(out[0][0] - out[-1][0]) < eps and abs(out[0][1] - out[-1][1]) < eps:
         out.pop()
     return out
 
 
-def reference_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+def reference_clip(subject: np.ndarray, clip: np.ndarray, merge_eps: float = MERGE_EPS) -> np.ndarray:
     """Sutherland-Hodgman intersection of two convex CCW polygons, one pair
-    at a time in Python floats; points on a clip edge count as inside."""
+    at a time in Python floats; points on a clip edge count as inside, and
+    vertices within merge_eps are merged."""
     output = [tuple(p) for p in subject]
     n = len(clip)
     for k in range(n):
@@ -113,13 +122,13 @@ def reference_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
             if q_in:
                 output.append((qx, qy))
             px, py, p_in = qx, qy, q_in
-    output = _merge_close_vertices(output)
+    output = _merge_close_vertices(output, merge_eps)
     if len(output) < 3:
         return np.empty((0, 2))
     return np.array(output)
 
 
-def reference_iou(a: Box3D, b: Box3D, mode: str) -> float:
+def reference_iou(a: Box3D, b: Box3D, mode: str, merge_eps: float = MERGE_EPS) -> float:
     """IoU of one pair, 3D (mode "3d") or of the BEV projections (mode "bev"),
     by the scalar clip with no far-pair test. The pair is taken in the
     canonical order (smaller key first) and a BEV box spans unit height."""
@@ -134,7 +143,7 @@ def reference_iou(a: Box3D, b: Box3D, mode: str) -> float:
     if overlap <= 0.0:
         return 0.0
     corners_a, corners_b = _reference_corners(bev_a), _reference_corners(bev_b)
-    inter = _reference_area(reference_clip(corners_a, corners_b))
+    inter = _reference_area(reference_clip(corners_a, corners_b, merge_eps))
     if inter < AREA_EPS:
         return 0.0
     inter *= overlap

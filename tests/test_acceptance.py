@@ -26,7 +26,7 @@ from boxebm.energynet import (
     save_checkpoint,
 )
 from boxebm.evalkit import average_precision, evaluate
-from boxebm.geometry import Box3D, BoxBEV, bev_iou, iou_3d
+from boxebm.geometry import Box3D, BoxBEV, bev_iou, box_rows, pair_iou
 from boxebm.kittiio import parse_label_file, write_result_file
 from boxebm.nce import NoiseModel, nce_loss, train
 from boxebm.refine import Detection, RefineConfig, refine_one, refine_scenes, sweep_t
@@ -55,11 +55,13 @@ def bench(tmp_path_factory):
                              LazyScenes(cfg.synth, range(BENCH_TRAIN)), tc, nm, cfg.pool)
     val = LazyScenes(cfg.synth, range(BENCH_TRAIN, BENCH_TRAIN + BENCH_VAL))
     dets_initial, dets_refined, _, gts, _ = refine_scenes(trained, val, cfg.pool, PAPER_REFINE)
-    iou_pairs = [(iou_3d(d.box, g.box), iou_3d(r.box, g.box)) for sid in gts
-                 for d, r, g in zip(dets_initial[sid], dets_refined[sid], gts[sid])]
+    triples = [(d.box, r.box, g.box) for sid in gts
+               for d, r, g in zip(dets_initial[sid], dets_refined[sid], gts[sid])]
+    initial, refined, truth = (box_rows(boxes) for boxes in zip(*triples))
+    iou_pairs = np.stack([pair_iou(initial, truth, "3d"), pair_iou(refined, truth, "3d")], axis=1)
     elapsed = time.perf_counter() - t0
     return dict(cfg=cfg, params=trained, records=records, dets_initial=dets_initial,
-                dets_refined=dets_refined, gts=gts, iou_pairs=np.array(iou_pairs),
+                dets_refined=dets_refined, gts=gts, iou_pairs=iou_pairs,
                 sweep_scenes=[val[i] for i in range(SWEEP_SCENES)], elapsed=elapsed)
 
 

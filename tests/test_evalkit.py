@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from boxebm import evalkit
 from boxebm.errors import InputError
 from boxebm.evalkit import (
     FP,
@@ -146,25 +147,47 @@ class TestMatchKernel:
                                 float(rng.choice([0.3, 0.5, 0.7, 0.9])))
                          for _ in range(int(rng.integers(0, 7)))]
         gts[0].append(GroundTruth(box=car_at(20.0, 0), bbox_height=60.0, occlusion=0, truncation=0.0))
-        thresholds = (0.5, 0.7)
-        out = evaluate(dets, gts, modes=("3d", "bev"), thresholds=thresholds, difficulties=diffs)
-        for mode in ("3d", "bev"):
-            iou_fn = iou_3d if mode == "3d" else lambda a, b: bev_iou(to_bev(a), to_bev(b))
-            for diff in diffs:
-                for thr in thresholds:
-                    flags, scores, num_gt = [], [], 0
-                    for sid in sorted(gts):
-                        valid = np.array([gt.passes(diff) for gt in gts[sid]], dtype=bool)
-                        num_gt += int(valid.sum())
-                        s = np.array([d.score for d in dets[sid]])
-                        iou = np.array([[iou_fn(d.box, gt.box) for gt in gts[sid]]
-                                        for d in dets[sid]]).reshape(len(s), len(valid))
-                        labels = reference_match(s, iou, thr, valid)
-                        flags += (labels[labels != IGNORED] == TP).tolist()
-                        scores += s[labels != IGNORED].tolist()
-                    expect = average_precision(flags, scores, num_gt)
-                    assert out[(mode, thr, diff)].pr_curve == expect.pr_curve
-                    assert out[(mode, thr, diff)].ap == expect.ap
+        assert_evaluate_matches_reference(dets, gts, (0.5, 0.7), diffs)
+
+    @pytest.mark.parametrize("pair_block", [1, 100, evalkit.PAIR_BLOCK])
+    def test_skewed_scene_sizes(self, rng, monkeypatch, pair_block):
+        # scenes from empty to one of 30 detections fall into several size
+        # groups, most of them holding scenes of different sizes; a small
+        # block splits a group into several passes
+        monkeypatch.setattr(evalkit, "PAIR_BLOCK", pair_block)
+        gts, dets = {}, {}
+        for sid, (n_gt, n_det) in enumerate([(2, 3), (0, 2), (3, 0), (12, 30), (1, 1), (3, 2), (5, 9), (4, 4),
+                                             (6, 7), (7, 5), (13, 20)]):
+            gts[sid] = [GroundTruth(box=car_at(4.0 * i, 0, yaw=float(rng.uniform(-0.2, 0.2))),
+                                    bbox_height=60.0, occlusion=int(rng.integers(0, 4)), truncation=0.0)
+                        for i in range(n_gt)]
+            dets[sid] = [det_at(4.0 * rng.integers(0, max(n_gt, 1)) + rng.normal(0, 0.2), rng.normal(0, 0.2),
+                                float(rng.choice([0.3, 0.5, 0.7, 0.9])))
+                         for _ in range(n_det)]
+        assert_evaluate_matches_reference(dets, gts, (0.5, 0.7), ("all", "moderate"))
+
+
+def assert_evaluate_matches_reference(dets, gts, thresholds, diffs):
+    """`evaluate` gives, for every key, the AP of the per-threshold reference
+    matcher run scene by scene on one-pair IoUs."""
+    out = evaluate(dets, gts, modes=("3d", "bev"), thresholds=thresholds, difficulties=diffs)
+    for mode in ("3d", "bev"):
+        iou_fn = iou_3d if mode == "3d" else lambda a, b: bev_iou(to_bev(a), to_bev(b))
+        for diff in diffs:
+            for thr in thresholds:
+                flags, scores, num_gt = [], [], 0
+                for sid in sorted(gts):
+                    valid = np.array([gt.passes(diff) for gt in gts[sid]], dtype=bool)
+                    num_gt += int(valid.sum())
+                    s = np.array([d.score for d in dets[sid]])
+                    iou = np.array([[iou_fn(d.box, gt.box) for gt in gts[sid]]
+                                    for d in dets[sid]]).reshape(len(s), len(valid))
+                    labels = reference_match(s, iou, thr, valid)
+                    flags += (labels[labels != IGNORED] == TP).tolist()
+                    scores += s[labels != IGNORED].tolist()
+                expect = average_precision(flags, scores, num_gt)
+                assert out[(mode, thr, diff)].pr_curve == expect.pr_curve
+                assert out[(mode, thr, diff)].ap == expect.ap
 
 
 @st.composite

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxebm import geometry
 from boxebm.geometry import (Box3D, BoxBEV, bev_corners, bev_iou, box_rows, iou_3d, iou_matrix, pair_iou,
                              polygon_area, to_bev)
-from helpers import aligned_bev_iou, mc_bev_iou, random_bev_box, reference_clip, reference_iou
+from helpers import (MERGE_EPS, OLD_MERGE_EPS, aligned_bev_iou, mc_bev_iou, random_bev_box, reference_clip,
+                     reference_iou)
 
 
 def corners_set(corners):
@@ -231,10 +233,10 @@ def box_lists(draw):
     return a_boxes, b_boxes
 
 
-def assert_equals_reference(a_boxes, b_boxes):
+def assert_equals_reference(a_boxes, b_boxes, merge_eps=MERGE_EPS):
     """`iou_matrix`, `iou_3d` and `bev_iou` equal the scalar reference clip bit for bit."""
     for mode in ("3d", "bev"):
-        expect = np.array([[reference_iou(a, b, mode) for b in b_boxes] for a in a_boxes])
+        expect = np.array([[reference_iou(a, b, mode, merge_eps) for b in b_boxes] for a in a_boxes])
         got = iou_matrix(a_boxes, b_boxes, mode)
         assert got.shape == (len(a_boxes), len(b_boxes))
         assert got.tobytes() == expect.tobytes(), mode
@@ -252,6 +254,24 @@ class TestIouMatrix:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_scalar(self, lists):
         assert_equals_reference(*lists)
+
+    @given(box_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_scalar_at_old_merge_eps(self, lists):
+        # the kernel departs from the scalar clip only in its merge distance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "VERTEX_MERGE_EPS", OLD_MERGE_EPS)
+            assert_equals_reference(*lists, merge_eps=OLD_MERGE_EPS)
+
+    def test_merge_keeps_corner_where_near_parallel_edges_cross(self):
+        # the right edges of a box and its yaw + 2*pi twin cross 2e-10 m
+        # from a corner; merging within 1e-9 dropped the corner and a sliver
+        a = Box3D(0.5, 1.0, 0.0, 1.0, 0.2, 0.2, 1e-9)
+        twin = Box3D(0.5, 1.0, 0.0, 1.0, 0.2, 0.2, 1e-9 + 2 * math.pi)
+        assert geometry.VERTEX_MERGE_EPS == MERGE_EPS
+        assert_equals_reference([a], [twin])
+        assert iou_matrix([a], [twin], "bev").tolist() == [[1.0]]
+        assert reference_iou(a, twin, "bev", OLD_MERGE_EPS) == 0.9999999989999999
 
     def test_exact_contacts(self):
         a = aligned(0.0, 4.0, 0.0, 2.0)
