@@ -8,14 +8,11 @@ average-precision evaluation, all exercised on a synthetic BEV harness.
 
 __version__ = "0.1.0"
 
-from .geometry import Box3D, BoxBEV, bev_corners, bev_iou, iou_3d, to_bev
+from .geometry import Box3D, iou_3d, pair_iou
 
 __all__ = [
     "__version__",
     "Box3D",
-    "BoxBEV",
-    "bev_corners",
-    "bev_iou",
     "iou_3d",
-    "to_bev",
+    "pair_iou",
 ]

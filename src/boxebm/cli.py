@@ -156,27 +156,29 @@ def _kitti_labels(path: Path):
     return labels
 
 
-def _kitti_scene_id(path: Path) -> int:
-    """Scene id of a KITTI file: its name is the id in decimal digits."""
-    if not (path.stem.isascii() and path.stem.isdigit()):
-        raise InputError(f"{path}: KITTI file names must be numeric scene ids")
-    return int(path.stem)
+def _kitti_files(root: Path) -> dict:
+    """KITTI files under `root` by scene id, in name order. A file's name is
+    its id in decimal digits, and two names for one id are an input error."""
+    files = {}
+    for path in sorted(Path(root).glob("*.txt")):
+        if not (path.stem.isascii() and path.stem.isdigit()):
+            raise InputError(f"{path}: KITTI file names must be numeric scene ids")
+        sid = int(path.stem)
+        if sid in files:
+            raise InputError(f"{files[sid]} and {path} are both scene {sid}")
+        files[sid] = path
+    return files
 
 
 def _gts_from_kitti(label_dir: Path):
     gts = {}
-    for path in sorted(Path(label_dir).glob("*.txt")):
-        entries = []
-        for lab in _kitti_labels(path):
-            if lab.type == DONT_CARE:
-                continue
-            entries.append(GroundTruth(
-                box=to_box3d(lab),
-                bbox_height=lab.bbox_bottom - lab.bbox_top,
-                occlusion=min(max(lab.occluded, 0), 3),
-                truncation=min(max(lab.truncated, 0.0), 1.0),
-            ))
-        gts[_kitti_scene_id(path)] = entries
+    for sid, path in _kitti_files(label_dir).items():
+        gts[sid] = [GroundTruth(
+            box=to_box3d(lab),
+            bbox_height=lab.bbox_bottom - lab.bbox_top,
+            occlusion=min(max(lab.occluded, 0), 3),
+            truncation=min(max(lab.truncated, 0.0), 1.0),
+        ) for lab in _kitti_labels(path) if lab.type != DONT_CARE]
     if not gts:
         raise InputError(f"no label files under {label_dir}")
     return gts
@@ -184,13 +186,13 @@ def _gts_from_kitti(label_dir: Path):
 
 def _dets_from_kitti(dets_dir: Path, expected_ids):
     dets = {}
-    for path in sorted(Path(dets_dir).glob("*.txt")):
+    for sid, path in _kitti_files(dets_dir).items():
         rows = []
         for lab in _kitti_labels(path):
             if lab.score is None:
                 raise InputError(f"{path} has a detection without a score")
             rows.append(ScoredBox(to_box3d(lab), lab.score))
-        dets[_kitti_scene_id(path)] = rows
+        dets[sid] = rows
     missing = sorted(set(expected_ids) - set(dets))
     extra = sorted(set(dets) - set(expected_ids))
     if missing or extra:

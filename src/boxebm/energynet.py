@@ -21,14 +21,11 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .featuregrid import FeatureGrid
+from .geometry import _BEV
 from .pooling import PoolConfig, pool_bev_batch
 
 CHECKPOINT_MAGIC = b"BOXEBMCK"
 CHECKPOINT_VERSION = 1
-
-# Column order of box coordinates everywhere in this module.
-BOX_PARAMS = ("cx", "cy", "cz", "h", "w", "l", "yaw")
-_BEV_COLS = np.array([0, 1, 4, 5, 6])  # cx, cy, w, l, yaw columns of a box row
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     differ from their one-row values in the last bits."""
     _validate(params, grid, cfg)
     boxes = np.asarray(boxes, dtype=float)
-    pooled, pooled_jac = pool_bev_batch(grid, boxes[:, _BEV_COLS], cfg, with_jac=with_box_jac)
+    pooled, pooled_jac = pool_bev_batch(grid, boxes[:, _BEV], cfg, with_jac=with_box_jac)
     cz1, ca1, cz2, ca2 = _enc_forward(params.enc_cz, boxes[:, 2], "enc_cz", per_row)
     hz1, ha1, hz2, ha2 = _enc_forward(params.enc_h, boxes[:, 3], "enc_h", per_row)
     h5 = np.concatenate([pooled, ca2, ha2], axis=1)
@@ -237,7 +234,7 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
     e = params.dims.enc_dim
     grad = np.zeros((b, 7))
     # pooled part -> (cx, cy, w, l, yaw)
-    grad[:, _BEV_COLS] = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
+    grad[:, _BEV] = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
     grad[:, 2] = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
                                cache["boxes"][:, 2], dh5[:, n4:n4 + e], per_row=per_row)
     grad[:, 3] = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],

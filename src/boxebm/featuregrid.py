@@ -39,10 +39,6 @@ class FeatureGrid:
             raise ConfigError("grid data contains non-finite values")
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def channels(self) -> int:
         return self.data.shape[2]
 

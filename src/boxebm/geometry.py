@@ -1,4 +1,4 @@
-"""Oriented box types and exact BEV / 3D intersection-over-union.
+"""The oriented box type and exact BEV / 3D intersection-over-union.
 
 Boxes are gravity-aligned: the only rotation is the yaw angle about the
 vertical axis. `l` is the extent along the heading direction, `w` the
@@ -50,45 +50,9 @@ class Box3D:
         cx, cy, cz, h, w, l, yaw = (float(v) for v in a)
         return Box3D(cx, cy, cz, h, w, l, yaw)
 
-    @property
-    def bottom(self) -> float:
-        return self.cz - self.h / 2.0
-
-    @property
-    def top(self) -> float:
-        return self.cz + self.h / 2.0
-
-
-@dataclass(frozen=True)
-class BoxBEV:
-    """Bird's-eye-view box: center (cx, cy), size (w, l), heading yaw."""
-
-    cx: float
-    cy: float
-    w: float
-    l: float
-    yaw: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.l > 0):
-            raise ValueError(f"box dimensions must be positive, got w={self.w} l={self.l}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.l, self.yaw], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "BoxBEV":
-        cx, cy, w, l, yaw = (float(v) for v in a)
-        return BoxBEV(cx, cy, w, l, yaw)
-
-
-def to_bev(box: Box3D) -> BoxBEV:
-    """Project a 3D box to its BEV version by dropping cz and h."""
-    return BoxBEV(box.cx, box.cy, box.w, box.l, box.yaw)
-
 
 # Columns of a box row (cx, cy, cz, h, w, l, yaw) that make its BEV row (cx, cy, w, l, yaw).
-_BEV = [0, 1, 4, 5, 6]
+_BEV = np.array([0, 1, 4, 5, 6])
 
 
 def _corners(bev: np.ndarray) -> np.ndarray:
@@ -101,11 +65,6 @@ def _corners(bev: np.ndarray) -> np.ndarray:
     rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
     # one (4, 2) @ (2, 2) BLAS product per box, rounded as for a lone box
     return local @ rot.transpose(0, 2, 1) + bev[:, None, :2]
-
-
-def bev_corners(box: BoxBEV) -> np.ndarray:
-    """The four corners (4, 2), counter-clockwise: center + R(yaw) @ (+-l/2, +-w/2)."""
-    return _corners(box.as_array()[None])[0]
 
 
 def _areas(poly: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -123,11 +82,6 @@ def _areas(poly: np.ndarray, n: np.ndarray) -> np.ndarray:
         nxt = np.arange(1, m + 1) % m  # index of each vertex's successor
         out[rows] = np.abs(np.vecdot(x, y[:, nxt]) - np.vecdot(y, x[:, nxt])) / 2.0
     return out
-
-
-def polygon_area(vertices: np.ndarray) -> float:
-    """Shoelace area (absolute value); 0 for fewer than 3 vertices."""
-    return float(_areas(vertices[None], np.array([len(vertices)]))[0])
 
 
 def _close(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -269,12 +223,8 @@ def iou_matrix(a_boxes, b_boxes, mode: str) -> np.ndarray:
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
-    """3D IoU: BEV intersection area times vertical overlap, over the union volume."""
+    """3D IoU of one pair: BEV intersection area times vertical overlap, over
+    the union volume. A one-pair wrapper kept because the refinement
+    benchmark (`perfbench/wl_refine.py`) scores refined boxes with it."""
     return float(pair_iou(a.as_array()[None], b.as_array()[None], "3d")[0])
 
-
-def bev_iou(a: BoxBEV, b: BoxBEV) -> float:
-    """Oriented BEV intersection-over-union, in [0, 1]."""
-    # mode "bev" reads no vertical field: cz and h are placeholders
-    a, b = (np.array([[box.cx, box.cy, 0.0, 1.0, box.w, box.l, box.yaw]]) for box in (a, b))
-    return float(pair_iou(a, b, "bev")[0])

@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .featuregrid import FeatureGrid, bilinear_grad_many, bilinear_many, world_to_grid
-from .geometry import BoxBEV
-
-# Order of BEV box parameters in all pooling Jacobians.
-BEV_PARAMS = ("cx", "cy", "w", "l", "yaw")
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,9 @@ def _sample_points_batch(boxes: np.ndarray, cfg: PoolConfig, with_jac: bool):
     """World sample points for a batch of BEV boxes.
 
     boxes: (B, 5) rows (cx, cy, w, l, yaw). Returns points (B, L', W', 2)
-    and, when requested, Jacobians (B, L', W', 2, 5).
+    and, when requested, their Jacobians (B, L', W', 2, 5) w.r.t. the five
+    columns. Point (j, i) sits at center + R(yaw) @ (u_j * l, v_i * w) with
+    u_j = (j + 0.5)/L' - 0.5 and v_i = (i + 0.5)/W' - 0.5.
     """
     u, v = _cell_fractions(cfg)
     uu = u[:, None]  # (L', 1)
@@ -72,17 +70,6 @@ def _sample_points_batch(boxes: np.ndarray, cfg: PoolConfig, with_jac: bool):
     jac[..., 0, 4] = -sin * lx - cos * ly
     jac[..., 1, 4] = cos * lx - sin * ly
     return pts, jac
-
-
-def grid_points(box: BoxBEV, cfg: PoolConfig):
-    """Sample points (W', L', 2) and their Jacobians (W', L', 2, 5).
-
-    Point (i, j) sits at center + R(yaw) @ (u_j * l, v_i * w) with
-    u_j = (j + 0.5)/L' - 0.5 and v_i = (i + 0.5)/W' - 0.5.
-    """
-    pts, jac = _sample_points_batch(box.as_array()[None, :], cfg, with_jac=True)
-    # internal layout is (L', W', ...); the public one indexes (i, j)
-    return pts[0].transpose(1, 0, 2), jac[0].transpose(1, 0, 2, 3)
 
 
 def pool_bev_batch(grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig, with_jac: bool = False):

@@ -79,7 +79,9 @@ class TraceRow:
 
 def refine_one(params: EnergyNetParams, grid: FeatureGrid, det: Detection,
                pool_cfg: PoolConfig, cfg: RefineConfig):
-    """Refine a single detection; returns (refined detection, trace rows)."""
+    """Refine a single detection; returns (refined detection, trace rows).
+    Kept because the refinement benchmark (`perfbench/wl_refine.py`) runs
+    detections through it one at a time."""
     refined, traces = refine_all(params, grid, [det], pool_cfg, cfg)
     return refined[0], traces[0]
 

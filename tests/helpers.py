@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from boxebm.evalkit import FP, IGNORED, TP
-from boxebm.geometry import AREA_EPS, Box3D, BoxBEV, to_bev
+from boxebm.geometry import _BEV, AREA_EPS, Box3D
 
 # Clipped vertices closer than this in both coordinates are merged: the
 # kernel's `VERTEX_MERGE_EPS`, written out so that a change to it is a test
@@ -25,8 +25,8 @@ MERGE_EPS = 1e-12
 OLD_MERGE_EPS = 1e-9
 
 
-def points_in_bev(box: BoxBEV, pts: np.ndarray) -> np.ndarray:
-    """Boolean mask of points inside an oriented BEV box (local-frame test)."""
+def points_in_bev(box: Box3D, pts: np.ndarray) -> np.ndarray:
+    """Boolean mask of points inside a box's BEV footprint (local-frame test)."""
     d = pts - np.array([box.cx, box.cy])
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     u = c * d[:, 0] + s * d[:, 1]  # along heading
@@ -34,7 +34,7 @@ def points_in_bev(box: BoxBEV, pts: np.ndarray) -> np.ndarray:
     return (np.abs(u) <= box.l / 2.0) & (np.abs(v) <= box.w / 2.0)
 
 
-def _joint_bbox(a: BoxBEV, b: BoxBEV):
+def _joint_bbox(a: Box3D, b: Box3D):
     r_a = math.hypot(a.l, a.w) / 2.0
     r_b = math.hypot(b.l, b.w) / 2.0
     lo = np.minimum([a.cx - r_a, a.cy - r_a], [b.cx - r_b, b.cy - r_b])
@@ -42,8 +42,8 @@ def _joint_bbox(a: BoxBEV, b: BoxBEV):
     return lo, hi
 
 
-def mc_bev_iou(a: BoxBEV, b: BoxBEV, n_pow2: int = 20, seed: int = 0) -> float:
-    """Quasi-Monte-Carlo IoU estimate from 2**n_pow2 low-discrepancy samples."""
+def mc_bev_iou(a: Box3D, b: Box3D, n_pow2: int = 20, seed: int = 0) -> float:
+    """Quasi-Monte-Carlo BEV IoU estimate from 2**n_pow2 low-discrepancy samples."""
     from scipy.stats import qmc
 
     lo, hi = _joint_bbox(a, b)
@@ -57,8 +57,8 @@ def mc_bev_iou(a: BoxBEV, b: BoxBEV, n_pow2: int = 20, seed: int = 0) -> float:
     return np.count_nonzero(in_a & in_b) / union
 
 
-def aligned_bev_iou(a: BoxBEV, b: BoxBEV) -> float:
-    """Closed-form IoU for axis-aligned (yaw = 0) boxes."""
+def aligned_bev_iou(a: Box3D, b: Box3D) -> float:
+    """Closed-form BEV IoU for axis-aligned (yaw = 0) boxes."""
     ix = max(0.0, min(a.cx + a.l / 2, b.cx + b.l / 2) - max(a.cx - a.l / 2, b.cx - b.l / 2))
     iy = max(0.0, min(a.cy + a.w / 2, b.cy + b.w / 2) - max(a.cy - a.w / 2, b.cy - b.w / 2))
     inter = ix * iy
@@ -67,7 +67,7 @@ def aligned_bev_iou(a: BoxBEV, b: BoxBEV) -> float:
     return inter / (a.w * a.l + b.w * b.l - inter)
 
 
-def _reference_corners(box: BoxBEV) -> np.ndarray:
+def _reference_corners(box: Box3D) -> np.ndarray:
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     hl, hw = box.l / 2.0, box.w / 2.0
     local = np.array([(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)])
@@ -134,10 +134,11 @@ def reference_iou(a: Box3D, b: Box3D, mode: str, merge_eps: float = MERGE_EPS) -
     canonical order (smaller key first) and a BEV box spans unit height."""
     if mode == "3d":
         key_a, key_b = tuple(a.as_array()), tuple(b.as_array())
-        solid_a, solid_b = (to_bev(a), a.bottom, a.top), (to_bev(b), b.bottom, b.top)
+        solid_a = (a, a.cz - a.h / 2.0, a.cz + a.h / 2.0)
+        solid_b = (b, b.cz - b.h / 2.0, b.cz + b.h / 2.0)
     else:
-        key_a, key_b = tuple(to_bev(a).as_array()), tuple(to_bev(b).as_array())
-        solid_a, solid_b = (to_bev(a), 0.0, 1.0), (to_bev(b), 0.0, 1.0)
+        key_a, key_b = tuple(a.as_array()[_BEV]), tuple(b.as_array()[_BEV])
+        solid_a, solid_b = (a, 0.0, 1.0), (b, 0.0, 1.0)
     (bev_a, bottom_a, top_a), (bev_b, bottom_b, top_b) = (solid_a, solid_b) if key_a <= key_b else (solid_b, solid_a)
     overlap = min(top_a, top_b) - max(bottom_a, bottom_b)
     if overlap <= 0.0:
@@ -176,10 +177,13 @@ def reference_match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid
     return labels
 
 
-def random_bev_box(rng: np.random.Generator, span: float = 4.0) -> BoxBEV:
-    return BoxBEV(
+def random_bev_box(rng: np.random.Generator, span: float = 4.0) -> Box3D:
+    """A box with random BEV fields and the placeholder cz = 0, h = 1."""
+    return Box3D(
         cx=float(rng.uniform(-span, span)),
         cy=float(rng.uniform(-span, span)),
+        cz=0.0,
+        h=1.0,
         w=float(rng.uniform(0.5, 3.0)),
         l=float(rng.uniform(0.5, 5.0)),
         yaw=float(rng.uniform(-math.pi, math.pi)),
@@ -249,12 +253,11 @@ def fd_safe_instance(rng: np.random.Generator, min_pre=1e-3, min_cell=1e-3):
     with step 1e-6 sample a region where the energy is smooth."""
     from boxebm.energynet import forward_batch
     from boxebm.featuregrid import world_to_grid
-    from boxebm.pooling import grid_points
-    from boxebm.geometry import BoxBEV
+    from boxebm.pooling import _sample_points_batch
 
     while True:
         params, grid, box, cfg = small_energy_setup(rng)
-        pts, _ = grid_points(BoxBEV.from_array(box[[0, 1, 4, 5, 6]]), cfg)
+        pts, _ = _sample_points_batch(box[None, _BEV], cfg, with_jac=False)
         q = world_to_grid(grid, pts.reshape(-1, 2))
         if np.min(np.abs(q - np.round(q))) < min_cell:
             continue

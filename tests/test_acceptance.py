@@ -26,7 +26,7 @@ from boxebm.energynet import (
     save_checkpoint,
 )
 from boxebm.evalkit import average_precision, evaluate
-from boxebm.geometry import Box3D, BoxBEV, bev_iou, box_rows, pair_iou
+from boxebm.geometry import Box3D, box_rows, pair_iou
 from boxebm.kittiio import parse_label_file, write_result_file
 from boxebm.nce import NoiseModel, nce_loss, train
 from boxebm.refine import Detection, RefineConfig, refine_one, refine_scenes, sweep_t
@@ -148,18 +148,25 @@ def test_criterion_3_nce_identities(rng):
 
 
 def test_criterion_4_geometry_oracle(rng):
-    for k in range(200):
+    # BEV boxes carry the placeholder cz = 0, h = 1; one kernel call per half
+    pairs = []
+    for _ in range(200):
         a = random_bev_box(rng)
-        b = BoxBEV(a.cx + float(rng.uniform(-1.5, 1.5)), a.cy + float(rng.uniform(-1.5, 1.5)),
-                   float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 5.0)),
-                   float(rng.uniform(-math.pi, math.pi)))
-        assert abs(bev_iou(a, b) - mc_bev_iou(a, b, 20, seed=k)) < 2e-3
+        b = Box3D(a.cx + float(rng.uniform(-1.5, 1.5)), a.cy + float(rng.uniform(-1.5, 1.5)), 0.0, 1.0,
+                  float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 5.0)),
+                  float(rng.uniform(-math.pi, math.pi)))
+        pairs.append((a, b))
+    got = pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev")
+    for k, (a, b) in enumerate(pairs):
+        assert abs(got[k] - mc_bev_iou(a, b, 20, seed=k)) < 2e-3
+    pairs = []
     for _ in range(200):
         a = random_bev_box(rng)
         b = random_bev_box(rng)
-        a = BoxBEV(a.cx, a.cy, a.w, a.l, 0.0)
-        b = BoxBEV(b.cx / 3, b.cy / 3, b.w, b.l, 0.0)
-        assert abs(bev_iou(a, b) - aligned_bev_iou(a, b)) <= 1e-12
+        pairs.append((replace(a, yaw=0.0), Box3D(b.cx / 3, b.cy / 3, 0.0, 1.0, b.w, b.l, 0.0)))
+    got = pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev")
+    for k, (a, b) in enumerate(pairs):
+        assert abs(got[k] - aligned_bev_iou(a, b)) <= 1e-12
 
 
 def test_criterion_5_ap_protocol(rng):

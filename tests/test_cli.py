@@ -398,6 +398,19 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:input:") and "abc.txt" in err
 
+    @pytest.mark.parametrize("where", ["gt", "dets"])
+    def test_two_kitti_files_for_one_scene(self, tmp_path, capsys, where):
+        # 000001.txt and 1.txt are both scene 1: neither may silently win
+        lines = {"gt": KITTI_CAR, "dets": KITTI_CAR + " 0.5"}
+        for name, line in lines.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "000001.txt").write_text(line + "\n")
+        (tmp_path / where / "1.txt").write_text(lines[where] + "\n")
+        assert run(["eval", "--kitti-gt", str(tmp_path / "gt"), "--dets", str(tmp_path / "dets"),
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and "000001.txt" in err and "/1.txt" in err
+
     @staticmethod
     def tiny_dataset(root: Path, n: int = 1) -> Path:
         """n one-box val scenes; returns the last scene's file."""

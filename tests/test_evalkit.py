@@ -17,7 +17,7 @@ from boxebm.evalkit import (
     relative_gain,
 )
 from boxebm.evalkit import _match_scenes
-from boxebm.geometry import Box3D, bev_iou, iou_3d, iou_matrix, to_bev
+from boxebm.geometry import Box3D, box_rows, iou_3d, iou_matrix, pair_iou
 from boxebm.refine import Detection
 from helpers import reference_match_scene
 
@@ -64,7 +64,7 @@ class TestMatchGreedy:
         tight = [det_at(0.005, 0, 0.9)]
         loose = [det_at(0.30, 0, 0.9)]
         gt = [gt_at(0, 0)]
-        assert iou_3d(loose[0].box, gt[0].box.box if False else gt[0].box) > 0.7
+        assert iou_3d(loose[0].box, gt[0].box) > 0.7
         la = match_greedy(tight, gt, 0.7)
         lb = match_greedy(loose, gt, 0.7)
         assert la.tolist() == lb.tolist() == [TP]
@@ -169,10 +169,17 @@ class TestMatchKernel:
 
 def assert_evaluate_matches_reference(dets, gts, thresholds, diffs):
     """`evaluate` gives, for every key, the AP of the per-threshold reference
-    matcher run scene by scene on one-pair IoUs."""
+    matcher run scene by scene on IoUs from one `pair_iou` call per mode
+    over every (detection, ground truth) pair."""
     out = evaluate(dets, gts, modes=("3d", "bev"), thresholds=thresholds, difficulties=diffs)
+    pairs = [(d.box, gt.box) for sid in sorted(gts) for d in dets[sid] for gt in gts[sid]]
     for mode in ("3d", "bev"):
-        iou_fn = iou_3d if mode == "3d" else lambda a, b: bev_iou(to_bev(a), to_bev(b))
+        flat = pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), mode) if pairs else np.zeros(0)
+        ious, at = {}, 0
+        for sid in sorted(gts):
+            size = len(dets[sid]) * len(gts[sid])
+            ious[sid] = flat[at:at + size].reshape(len(dets[sid]), len(gts[sid]))
+            at += size
         for diff in diffs:
             for thr in thresholds:
                 flags, scores, num_gt = [], [], 0
@@ -180,9 +187,7 @@ def assert_evaluate_matches_reference(dets, gts, thresholds, diffs):
                     valid = np.array([gt.passes(diff) for gt in gts[sid]], dtype=bool)
                     num_gt += int(valid.sum())
                     s = np.array([d.score for d in dets[sid]])
-                    iou = np.array([[iou_fn(d.box, gt.box) for gt in gts[sid]]
-                                    for d in dets[sid]]).reshape(len(s), len(valid))
-                    labels = reference_match(s, iou, thr, valid)
+                    labels = reference_match(s, ious[sid], thr, valid)
                     flags += (labels[labels != IGNORED] == TP).tolist()
                     scores += s[labels != IGNORED].tolist()
                 expect = average_precision(flags, scores, num_gt)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxebm import geometry
-from boxebm.geometry import (Box3D, BoxBEV, bev_corners, bev_iou, box_rows, iou_3d, iou_matrix, pair_iou,
-                             polygon_area, to_bev)
+from boxebm.geometry import Box3D, box_rows, iou_3d, iou_matrix, pair_iou
 from helpers import (MERGE_EPS, OLD_MERGE_EPS, aligned_bev_iou, mc_bev_iou, random_bev_box, reference_clip,
                      reference_iou)
 
@@ -16,10 +16,14 @@ def corners_set(corners):
     return sorted(map(tuple, np.round(corners, 9)))
 
 
+# BEV cases are boxes with the placeholder cz = 0, h = 1: mode "bev" reads
+# no vertical field (`TestIouMatrix.test_bev_ignores_vertical_fields`)
 box_bev_st = st.builds(
-    BoxBEV,
+    Box3D,
     cx=st.floats(-10, 10),
     cy=st.floats(-10, 10),
+    cz=st.just(0.0),
+    h=st.just(1.0),
     w=st.floats(0.2, 4),
     l=st.floats(0.2, 6),
     yaw=st.floats(-7, 7),
@@ -37,31 +41,18 @@ box3d_st = st.builds(
 )
 
 
-class TestToBev:
-    def test_drops_vertical_fields(self):
-        b = Box3D(1, 2, 3, h=1.5, w=1.6, l=3.9, yaw=0.3)
-        assert to_bev(b) == BoxBEV(1, 2, 1.6, 3.9, 0.3)
-
-    def test_unit_box(self):
-        assert to_bev(Box3D(0, 0, 0, 1, 1, 1, 0)) == BoxBEV(0, 0, 1, 1, 0)
-
-    def test_no_vertical_fields(self):
-        bev = to_bev(Box3D(0, 0, 5, 1, 1, 1, 0))
-        assert not hasattr(bev, "cz") and not hasattr(bev, "h")
-
-
 class TestBevCorners:
     def test_axis_aligned(self):
-        poly = bev_corners(BoxBEV(0, 0, w=2, l=4, yaw=0))
+        poly = geometry._corners(np.array([[0.0, 0.0, 2.0, 4.0, 0.0]]))[0]
         assert corners_set(poly) == sorted([(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)])
 
     def test_quarter_turn(self):
-        poly = bev_corners(BoxBEV(0, 0, w=2, l=4, yaw=math.pi / 2))
+        poly = geometry._corners(np.array([[0.0, 0.0, 2.0, 4.0, math.pi / 2]]))[0]
         assert corners_set(poly) == sorted([(-1.0, 2.0), (-1.0, -2.0), (1.0, -2.0), (1.0, 2.0)])
 
     def test_rotated_square(self):
         # direct trigonometric evaluation: unit square about (1,1) at 45 deg
-        poly = bev_corners(BoxBEV(1, 1, w=1, l=1, yaw=math.pi / 4))
+        poly = geometry._corners(np.array([[1.0, 1.0, 1.0, 1.0, math.pi / 4]]))[0]
         # hand-evaluated: R(45) @ (+-0.5, +-0.5)
         r2 = math.sqrt(2) / 2
         expected = sorted([(1.0, 1.0 + r2), (1.0 - r2, 1.0), (1.0, 1.0 - r2), (1.0 + r2, 1.0)])
@@ -70,72 +61,82 @@ class TestBevCorners:
     @given(box_bev_st)
     @settings(max_examples=50, deadline=None)
     def test_ccw_and_area(self, box):
-        v = bev_corners(box)
-        x, y = v[:, 0], v[:, 1]
+        v = geometry._corners(box.as_array()[None, geometry._BEV])
+        x, y = v[0, :, 0], v[0, :, 1]
         signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         assert signed > 0
-        assert polygon_area(v) == pytest.approx(box.w * box.l, rel=1e-12)
+        assert geometry._areas(v, np.array([4]))[0] == pytest.approx(box.w * box.l, rel=1e-12)
 
 
 class TestBevIou:
     def test_identical(self):
-        b = BoxBEV(0.3, -0.2, 1.7, 4.1, 0.37)
-        assert bev_iou(b, b) == 1.0
+        b = Box3D(0.3, -0.2, 0.0, 1.0, 1.7, 4.1, 0.37)
+        assert pair_iou(box_rows([b]), box_rows([b]), "bev").tolist() == [1.0]
 
     def test_disjoint(self):
-        a = BoxBEV(0, 0, 1, 1, 0.2)
-        b = BoxBEV(100, 0, 1, 1, 0.9)
-        assert bev_iou(a, b) == 0.0
+        a = Box3D(0, 0, 0, 1, 1, 1, 0.2)
+        b = Box3D(100, 0, 0, 1, 1, 1, 0.9)
+        assert pair_iou(box_rows([a]), box_rows([b]), "bev").tolist() == [0.0]
 
     def test_axis_aligned_third(self):
         # overlap 2*1 = 2, union 4+4-2 = 6
-        a = BoxBEV(0, 0, 2, 2, 0)
-        b = BoxBEV(1, 0, 2, 2, 0)
-        assert bev_iou(a, b) == pytest.approx(1 / 3, abs=1e-12)
+        a = Box3D(0, 0, 0, 1, 2, 2, 0)
+        b = Box3D(1, 0, 0, 1, 2, 2, 0)
+        assert pair_iou(box_rows([a]), box_rows([b]), "bev")[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_matches_monte_carlo(self, rng):
-        for k in range(20):
+        pairs = []
+        for _ in range(20):
             a = random_bev_box(rng)
-            b = BoxBEV(a.cx + rng.uniform(-1, 1), a.cy + rng.uniform(-1, 1),
-                       float(rng.uniform(0.5, 3)), float(rng.uniform(0.5, 5)),
-                       float(rng.uniform(-math.pi, math.pi)))
-            assert bev_iou(a, b) == pytest.approx(mc_bev_iou(a, b, 18, seed=k), abs=2e-3)
+            b = Box3D(a.cx + rng.uniform(-1, 1), a.cy + rng.uniform(-1, 1), 0.0, 1.0,
+                      float(rng.uniform(0.5, 3)), float(rng.uniform(0.5, 5)),
+                      float(rng.uniform(-math.pi, math.pi)))
+            pairs.append((a, b))
+        got = pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev")
+        for k, (a, b) in enumerate(pairs):
+            assert got[k] == pytest.approx(mc_bev_iou(a, b, 18, seed=k), abs=2e-3)
 
     def test_matches_axis_aligned_closed_form(self, rng):
+        pairs = []
         for _ in range(50):
             a = random_bev_box(rng)
             b = random_bev_box(rng)
-            a = BoxBEV(a.cx, a.cy, a.w, a.l, 0.0)
-            b = BoxBEV(b.cx / 4, b.cy / 4, b.w, b.l, 0.0)
-            assert bev_iou(a, b) == pytest.approx(aligned_bev_iou(a, b), abs=1e-12)
+            a = replace(a, yaw=0.0)
+            b = Box3D(b.cx / 4, b.cy / 4, 0.0, 1.0, b.w, b.l, 0.0)
+            pairs.append((a, b))
+        got = pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev")
+        for k, (a, b) in enumerate(pairs):
+            assert got[k] == pytest.approx(aligned_bev_iou(a, b), abs=1e-12)
 
     @given(box_bev_st, box_bev_st)
     @settings(max_examples=60, deadline=None)
     def test_symmetric_and_bounded(self, a, b):
-        v = bev_iou(a, b)
-        assert bev_iou(b, a) == v
+        v, w = pair_iou(box_rows([a, b]), box_rows([b, a]), "bev")
+        assert w == v
         assert 0.0 <= v <= 1.0
 
     @given(box_bev_st)
     @settings(max_examples=40, deadline=None)
     def test_two_pi_invariance(self, a):
-        b = BoxBEV(a.cx, a.cy, a.w, a.l, a.yaw + 2 * math.pi)
-        assert bev_iou(a, b) == pytest.approx(1.0, abs=1e-9)
+        b = replace(a, yaw=a.yaw + 2 * math.pi)
+        assert pair_iou(box_rows([a]), box_rows([b]), "bev")[0] == pytest.approx(1.0, abs=1e-9)
 
     @given(box_bev_st, box_bev_st, st.floats(-3, 3), st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=40, deadline=None)
     def test_rigid_invariance(self, a, b, ang, tx, ty):
         def move(bx):
             c, s = math.cos(ang), math.sin(ang)
-            return BoxBEV(c * bx.cx - s * bx.cy + tx, s * bx.cx + c * bx.cy + ty, bx.w, bx.l, bx.yaw + ang)
+            return Box3D(c * bx.cx - s * bx.cy + tx, s * bx.cx + c * bx.cy + ty, bx.cz, bx.h, bx.w, bx.l,
+                         bx.yaw + ang)
 
-        assert bev_iou(move(a), move(b)) == pytest.approx(bev_iou(a, b), abs=1e-9)
+        moved, v = pair_iou(box_rows([move(a), a]), box_rows([move(b), b]), "bev")
+        assert moved == pytest.approx(v, abs=1e-9)
 
     @given(box_bev_st)
     @settings(max_examples=40, deadline=None)
     def test_pi_rotation_of_identical_pair(self, a):
-        b = BoxBEV(a.cx, a.cy, a.w, a.l, a.yaw + math.pi)
-        assert bev_iou(a, b) == pytest.approx(1.0, abs=1e-9)
+        b = replace(a, yaw=a.yaw + math.pi)
+        assert pair_iou(box_rows([a]), box_rows([b]), "bev")[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestIou3d:
@@ -183,7 +184,7 @@ def related_box(draw, a: Box3D) -> Box3D:
         return Box3D(a.cx, a.cy, a.cz, a.h, a.w, a.l, a.yaw + draw(st.sampled_from([-1, 1, 2])) * math.pi / 2)
     if kind == "stacked":  # zero vertical overlap: b's bottom is a's top
         h = draw(st.floats(0.2, 3))
-        return Box3D(a.cx, a.cy, a.top + h / 2.0, h, a.w, a.l, a.yaw)
+        return Box3D(a.cx, a.cy, (a.cz + a.h / 2.0) + h / 2.0, h, a.w, a.l, a.yaw)
     if kind == "edge":  # same heading and width, sharing the front edge
         l = draw(st.floats(0.2, 6))
         d = (a.l + l) / 2.0
@@ -193,14 +194,14 @@ def related_box(draw, a: Box3D) -> Box3D:
         return Box3D(a.cx, a.cy, a.cz, a.h * draw(st.floats(0.1, 1.0)), side * draw(st.floats(0.1, 0.99)),
                      side * draw(st.floats(0.1, 0.99)), draw(st.floats(-7, 7)))
     if kind == "on_edge":  # a corner of b on an edge of a (to rounding), b's body outside or across it
-        corners = bev_corners(to_bev(a))
+        corners = geometry._corners(a.as_array()[None, geometry._BEV])[0]
         k, u = draw(st.integers(0, 3)), draw(st.floats(0.0, 1.0))
         px, py = corners[k] + u * (corners[(k + 1) % 4] - corners[k])
         b = draw(box3d_st)
         c, s = math.cos(b.yaw), math.sin(b.yaw)
         return Box3D(px - c * b.l / 2 + s * b.w / 2, py - s * b.l / 2 - c * b.w / 2, b.cz, b.h, b.w, b.l, b.yaw)
     if kind == "through_corner":  # an edge of b through a corner of a (to rounding), b on either side
-        px, py = bev_corners(to_bev(a))[draw(st.integers(0, 3))]
+        px, py = geometry._corners(a.as_array()[None, geometry._BEV])[0, draw(st.integers(0, 3))]
         b = draw(box3d_st)
         side, along = draw(st.sampled_from([-0.5, 0.5])) * b.w, draw(st.floats(-0.5, 0.5)) * b.l
         c, s = math.cos(b.yaw), math.sin(b.yaw)
@@ -234,14 +235,18 @@ def box_lists(draw):
 
 
 def assert_equals_reference(a_boxes, b_boxes, merge_eps=MERGE_EPS):
-    """`iou_matrix`, `iou_3d` and `bev_iou` equal the scalar reference clip bit for bit."""
+    """`iou_matrix`, `iou_3d` and `pair_iou` over the swapped pairs in
+    reverse order equal the scalar reference clip bit for bit."""
     for mode in ("3d", "bev"):
         expect = np.array([[reference_iou(a, b, mode, merge_eps) for b in b_boxes] for a in a_boxes])
         got = iou_matrix(a_boxes, b_boxes, mode)
         assert got.shape == (len(a_boxes), len(b_boxes))
         assert got.tobytes() == expect.tobytes(), mode
-        pair = iou_3d if mode == "3d" else lambda a, b: bev_iou(to_bev(a), to_bev(b))
-        assert np.array([[pair(a, b) for b in b_boxes] for a in a_boxes]).tobytes() == expect.tobytes(), mode
+        swapped = pair_iou(np.tile(box_rows(b_boxes)[::-1], (len(a_boxes), 1)),
+                           np.repeat(box_rows(a_boxes)[::-1], len(b_boxes), axis=0), mode)
+        assert swapped[::-1].tobytes() == expect.tobytes(), mode
+        if mode == "3d":
+            assert np.array([[iou_3d(a, b) for b in b_boxes] for a in a_boxes]).tobytes() == expect.tobytes()
 
 
 def aligned(x0, x1, y0, y1, z0=0.0, z1=1.0) -> Box3D:
@@ -262,6 +267,16 @@ class TestIouMatrix:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "VERTEX_MERGE_EPS", OLD_MERGE_EPS)
             assert_equals_reference(*lists, merge_eps=OLD_MERGE_EPS)
+
+    @given(box3d_st.flatmap(lambda a: st.tuples(st.just(a), related_box(a))),
+           st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_bev_ignores_vertical_fields(self, pair, cz_a, h_a, cz_b, h_b):
+        # redrawing cz and h of either box changes no bit of the BEV IoU
+        a, b = pair
+        a2, b2 = replace(a, cz=cz_a, h=h_a), replace(b, cz=cz_b, h=h_b)
+        got = pair_iou(box_rows([a, a2, a, a2]), box_rows([b, b, b2, b2]), "bev")
+        assert got.tobytes() == np.full(4, got[0]).tobytes()
 
     def test_merge_keeps_corner_where_near_parallel_edges_cross(self):
         # the right edges of a box and its yaw + 2*pi twin cross 2e-10 m
@@ -299,7 +314,8 @@ class TestIouMatrix:
         poking = Box3D(1.0 + math.sqrt(2) - 0.3, 1.0, 0.0, 1.0, 2.0, 2.0, math.pi / 4)  # corner across a corner
         apart = Box3D(2.2, 2.2, 0.0, 1.0, 2.0, 2.0, math.pi / 4)  # circles meet, boxes do not
         pairs = [(square, turned), (square, poking), (square, apart), (turned, square), (apart, square)]
-        sizes = [len(reference_clip(bev_corners(to_bev(a)), bev_corners(to_bev(b)))) for a, b in pairs[:3]]
+        corners = geometry._corners(box_rows([box for pair in pairs[:3] for box in pair])[:, geometry._BEV])
+        sizes = [len(reference_clip(corners[2 * k], corners[2 * k + 1])) for k in range(3)]
         assert sizes == [8, 3, 0]
         a, b = box_rows([a for a, _ in pairs]), box_rows([b for _, b in pairs])
         for mode in ("3d", "bev"):
@@ -326,4 +342,4 @@ def test_invalid_dimensions_rejected():
     with pytest.raises(ValueError):
         Box3D(0, 0, 0, h=-1, w=1, l=1, yaw=0)
     with pytest.raises(ValueError):
-        BoxBEV(0, 0, w=0, l=1, yaw=0)
+        Box3D(0, 0, 0, h=1, w=0, l=1, yaw=0)

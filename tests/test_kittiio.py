@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxebm.errors import InputError, ParseError
-from boxebm.geometry import Box3D, BoxBEV, bev_iou, to_bev
+from boxebm.geometry import Box3D, box_rows, pair_iou
 from boxebm.kittiio import (
     KittiLabel,
     format_label,
@@ -116,14 +116,17 @@ class TestToBox3d:
         assert np.allclose(a.as_array()[:6], b.as_array()[:6], atol=0)
 
     def test_bev_iou_preserved(self, rng):
-        # ground-plane IoU in camera coordinates must equal world-frame IoU
+        # ground-plane IoU in camera coordinates must equal world-frame IoU;
+        # camera-frame boxes carry the placeholder cz = 0, h = 1
+        world, cam = [], []
         for _ in range(30):
             la, lb = random_label(rng), random_label(rng)
             lb = KittiLabel(**{**lb.__dict__, "x": la.x + rng.uniform(-3, 3), "z": la.z + rng.uniform(-3, 3)})
-            cam_a = BoxBEV(cx=la.x, cy=la.z, w=la.w, l=la.l, yaw=-la.rotation_y)
-            cam_b = BoxBEV(cx=lb.x, cy=lb.z, w=lb.w, l=lb.l, yaw=-lb.rotation_y)
-            world = bev_iou(to_bev(to_box3d(la)), to_bev(to_box3d(lb)))
-            assert world == pytest.approx(bev_iou(cam_a, cam_b), abs=1e-9)
+            world.append((to_box3d(la), to_box3d(lb)))
+            cam.append(tuple(Box3D(lab.x, lab.z, 0.0, 1.0, lab.w, lab.l, -lab.rotation_y) for lab in (la, lb)))
+        ious = pair_iou(*(box_rows(boxes) for boxes in zip(*(world + cam))), "bev")
+        for k in range(30):
+            assert ious[k] == pytest.approx(ious[30 + k], abs=1e-9)
 
 
 class TestWrite:

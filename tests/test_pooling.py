@@ -5,8 +5,7 @@ import pytest
 
 from boxebm.errors import ConfigError
 from boxebm.featuregrid import FeatureGrid
-from boxebm.geometry import BoxBEV
-from boxebm.pooling import PoolConfig, grid_points, pool_bev_batch
+from boxebm.pooling import PoolConfig, _sample_points_batch, pool_bev_batch
 
 
 def make_grid(rng, w=16, l=16, c=3, res=0.5, ox=-4.0, oy=-4.0):
@@ -15,16 +14,16 @@ def make_grid(rng, w=16, l=16, c=3, res=0.5, ox=-4.0, oy=-4.0):
 
 class TestGridPoints:
     def test_single_cell_is_center(self):
-        box = BoxBEV(1.5, -2.0, w=1.8, l=4.0, yaw=0.7)
-        pts, jac = grid_points(box, PoolConfig(1, 1))
+        box = np.array([[1.5, -2.0, 1.8, 4.0, 0.7]])
+        (pts,), (jac,) = _sample_points_batch(box, PoolConfig(1, 1), with_jac=True)
         assert pts.shape == (1, 1, 2)
         assert np.allclose(pts[0, 0], [1.5, -2.0], atol=1e-12)
         assert np.allclose(jac[0, 0, :, 0:2], np.eye(2), atol=1e-12)
         assert np.allclose(jac[0, 0, :, 2:], 0.0, atol=1e-12)
 
     def test_two_by_three_axis_aligned(self):
-        box = BoxBEV(1.0, 2.0, w=2.0, l=3.0, yaw=0.0)
-        pts, _ = grid_points(box, PoolConfig(grid_w=2, grid_l=3))
+        box = np.array([[1.0, 2.0, 2.0, 3.0, 0.0]])
+        (pts,), _ = _sample_points_batch(box, PoolConfig(grid_w=2, grid_l=3), with_jac=False)
         xs = 1.0 + np.array([-1.0, 0.0, 1.0])  # u = (-1/3, 0, 1/3) times l=3
         ys = 2.0 + np.array([-0.5, 0.5])  # v = (-1/4, 1/4) times w=2
         expected = {(x, y) for x in xs for y in ys}
@@ -32,18 +31,14 @@ class TestGridPoints:
         assert got == expected
 
     def test_periodicity_in_yaw(self):
-        box = BoxBEV(0.3, -0.4, 1.5, 4.0, 0.9)
-        shifted = BoxBEV(0.3, -0.4, 1.5, 4.0, 0.9 + 2 * math.pi)
-        p1, _ = grid_points(box, PoolConfig())
-        p2, _ = grid_points(shifted, PoolConfig())
+        boxes = np.array([[0.3, -0.4, 1.5, 4.0, 0.9], [0.3, -0.4, 1.5, 4.0, 0.9 + 2 * math.pi]])
+        (p1, p2), _ = _sample_points_batch(boxes, PoolConfig(), with_jac=False)
         # fl(yaw + 2*pi) is not exactly yaw + 2*pi, so identity holds to fp accuracy
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_periodicity_exact_at_zero(self):
-        box = BoxBEV(0.3, -0.4, 1.5, 4.0, 0.0)
-        shifted = BoxBEV(0.3, -0.4, 1.5, 4.0, 2 * math.pi)
-        p1, _ = grid_points(box, PoolConfig())
-        p2, _ = grid_points(shifted, PoolConfig())
+        boxes = np.array([[0.3, -0.4, 1.5, 4.0, 0.0], [0.3, -0.4, 1.5, 4.0, 2 * math.pi]])
+        (p1, p2), _ = _sample_points_batch(boxes, PoolConfig(), with_jac=False)
         assert np.allclose(p1, p2, atol=1e-15)
 
 
@@ -76,9 +71,10 @@ class TestPoolBev:
         data[:, :, 1] = np.arange(l)[None, :]  # channel 1 stores y index
         g = FeatureGrid(data, 0.0, 0.0, 1.0)
         cfg = PoolConfig(grid_w=2, grid_l=3)
-        box = BoxBEV(5.0, 6.0, w=2.0, l=3.0, yaw=0.0)
-        pts, _ = grid_points(box, cfg)
-        (pooled,), _ = pool_bev_batch(g, box.as_array()[None, :], cfg)
+        box = np.array([[5.0, 6.0, 2.0, 3.0, 0.0]])
+        pts, _ = _sample_points_batch(box, cfg, with_jac=False)
+        pts = pts[0].transpose(1, 0, 2)  # index (i, j): width cell, then length cell
+        (pooled,), _ = pool_bev_batch(g, box, cfg)
         for i in range(2):
             for j in range(3):
                 base = (j * 2 + i) * c
@@ -91,10 +87,10 @@ class TestPoolBev:
         g1 = FeatureGrid(data, -2.0, -2.0, res)
         offset = 3 * res  # 0.75, exactly representable
         g2 = FeatureGrid(data, -2.0 + offset, -2.0 + offset, res)
-        box1 = BoxBEV(0.5, -0.25, 1.5, 3.0, 0.375)
-        box2 = BoxBEV(0.5 + offset, -0.25 + offset, 1.5, 3.0, 0.375)
-        a, _ = pool_bev_batch(g1, box1.as_array()[None, :], PoolConfig(2, 3))
-        b, _ = pool_bev_batch(g2, box2.as_array()[None, :], PoolConfig(2, 3))
+        box1 = np.array([[0.5, -0.25, 1.5, 3.0, 0.375]])
+        box2 = np.array([[0.5 + offset, -0.25 + offset, 1.5, 3.0, 0.375]])
+        a, _ = pool_bev_batch(g1, box1, PoolConfig(2, 3))
+        b, _ = pool_bev_batch(g2, box2, PoolConfig(2, 3))
         # identical up to the rounding of the two shifted additions
         assert np.allclose(a, b, atol=1e-12)
 
@@ -109,7 +105,7 @@ class TestPoolBev:
                 rng.uniform(0.8, 2.0), rng.uniform(1.5, 4.0),
                 rng.uniform(-math.pi, math.pi),
             ])
-            pts, _ = grid_points(BoxBEV.from_array(arr), cfg)
+            pts, _ = _sample_points_batch(arr[None, :], cfg, with_jac=False)
             q = (pts.reshape(-1, 2) + 5.0) / 0.5
             if np.min(np.abs(q - np.round(q))) < 1e-3:
                 continue  # stay clear of cell boundaries

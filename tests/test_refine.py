@@ -5,8 +5,8 @@ import boxebm.refine as refine_mod
 from boxebm.energynet import EnergyNetDims, init_params
 from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
-from boxebm.geometry import Box3D, BoxBEV
-from boxebm.pooling import PoolConfig, grid_points
+from boxebm.geometry import Box3D
+from boxebm.pooling import PoolConfig, _sample_points_batch
 from boxebm.refine import Detection, RefineConfig, refine_all, refine_one, refine_scenes
 from helpers import default_size_setup, small_energy_setup
 
@@ -33,7 +33,8 @@ def unimodal_landscape():
     y_star = np.array([0.3, -0.2, 0.6, 1.5, 1.7, 3.8, 0.4])
     res, origin, n = 0.25, -6.0, 48
     cfg = PoolConfig(grid_w=2, grid_l=2)
-    pts, _ = grid_points(BoxBEV.from_array(y_star[[0, 1, 4, 5, 6]]), cfg)
+    pts, _ = _sample_points_batch(y_star[None, [0, 1, 4, 5, 6]], cfg, with_jac=False)
+    pts = pts[0].transpose(1, 0, 2)  # index (i, j): width cell, then length cell
     targets = np.empty((4, 2))
     for i in range(2):
         for j in range(2):

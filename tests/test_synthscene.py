@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boxebm.errors import ConfigError, GenerationError
-from boxebm.geometry import Box3D, bev_iou, to_bev
+from boxebm.geometry import Box3D, box_rows, pair_iou
 from boxebm.synthscene import (
     FileScenes,
     LazyScenes,
@@ -56,35 +56,33 @@ class TestGenScene:
     def test_zero_perturbation_gives_exact_detections(self):
         cfg = replace(TEST_CFG, det_noise=(0.0,) * 7)
         scene = gen_scene_by_index(cfg, 1)
+        dets = box_rows([det.box for det in scene.initial_dets])
+        assert pair_iou(dets, box_rows([gt.box for gt in scene.gts]), "bev").tolist() == [1.0] * len(dets)
         for det, gt in zip(scene.initial_dets, scene.gts):
             assert np.array_equal(det.box.as_array(), gt.box.as_array())
-            assert bev_iou(to_bev(det.box), to_bev(gt.box)) == 1.0
             assert 0.0 < det.score < 1.0
 
     def test_boxes_inside_margin_and_separated(self):
         cfg = replace(TEST_CFG, cars_min=3, cars_max=3)
+        pairs = []
         for sid in range(5):
             scene = gen_scene_by_index(cfg, sid)
             for gt in scene.gts:
                 assert abs(gt.box.cx) <= cfg.half_extent - cfg.margin
                 assert abs(gt.box.cy) <= cfg.half_extent - cfg.margin
-            for i, a in enumerate(scene.gts):
-                for b in scene.gts[i + 1:]:
-                    assert bev_iou(to_bev(a.box), to_bev(b.box)) < cfg.max_pair_iou
+            pairs += [(a.box, b.box) for i, a in enumerate(scene.gts) for b in scene.gts[i + 1:]]
+        assert np.all(pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev") < cfg.max_pair_iou)
 
     def test_scores_decrease_with_perturbation(self):
         means = []
         for scale in (0.5, 1.0, 2.0):
             cfg = replace(TEST_CFG, det_noise=tuple(scale * s for s in TEST_CFG.det_noise),
                           cars_min=2, cars_max=3)
-            ious = []
+            pairs = []
             for sid in range(30):
                 scene = gen_scene_by_index(cfg, sid)
-                ious.extend(
-                    bev_iou(to_bev(d.box), to_bev(g.box))
-                    for d, g in zip(scene.initial_dets, scene.gts)
-                )
-            means.append(np.mean(ious))
+                pairs += [(d.box, g.box) for d, g in zip(scene.initial_dets, scene.gts)]
+            means.append(np.mean(pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev")))
         assert means[0] > means[1] > means[2]
 
     def test_impossible_placement_raises(self):
