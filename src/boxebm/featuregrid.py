@@ -103,9 +103,16 @@ def bilinear_many(grid: FeatureGrid, q: np.ndarray) -> np.ndarray:
 
 
 def bilinear_grad_many(grid: FeatureGrid, q: np.ndarray):
-    """Values (N, C) and analytic Jacobians (N, C, 2) w.r.t. the query point."""
+    """Values (N, C) and their analytic derivatives dx, dy (N, C) w.r.t. the
+    query point's two coordinates."""
     v00, v10, v01, v11, tx, ty = _corner_values(grid, np.asarray(q, dtype=float))
-    dx = (1 - ty) * (v10 - v00) + ty * (v11 - v01)
-    dy = (1 - tx) * (v01 - v00) + tx * (v11 - v10)
-    val = _interp(v00, v10, v01, v11, tx, ty, out=np.empty_like(v00))
-    return val, np.stack([dx, dy], axis=2)
+    # fractions repeated to (N, C), so every product below runs over whole arrays
+    tx = np.repeat(tx, grid.channels, axis=1)
+    ty = np.repeat(ty, grid.channels, axis=1)
+    dx = v10 - v00
+    dx *= 1 - ty
+    dx += ty * (v11 - v01)
+    dy = v01 - v00
+    dy *= 1 - tx
+    dy += tx * (v11 - v10)
+    return _interp(v00, v10, v01, v11, tx, ty, out=v00), dx, dy

@@ -20,7 +20,7 @@ point clouds. Remaining channels are fixed random mixtures of channels
 from __future__ import annotations
 
 import math
-
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -274,40 +274,44 @@ def _finite_row(raw: bytes, count: int, offset: int) -> np.ndarray:
 
 
 def load_scene(path) -> Scene:
+    """Inverse of `save_scene`. The grid is read straight into its own
+    (aligned, C-contiguous) float64 array."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != SCENE_MAGIC:
-        raise InputError(f"not a scene file: {path}")
-    try:  # a file cut short, a bad grid, non-finite values, non-positive sizes and bad scores are input errors
-        version, scene_id = struct.unpack_from("<II", raw, 8)
-        if version != SCENE_VERSION:
-            raise InputError(f"unsupported scene version {version}")
-        w, length, c = struct.unpack_from("<III", raw, 16)
-        res, ox, oy = struct.unpack_from("<ddd", raw, 28)
-        n_gts, n_dets = struct.unpack_from("<II", raw, 52)
-        pos = 60
-        count = w * length * c
-        data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(w, length, c).copy()
-        pos += 8 * count
-        grid = FeatureGrid(data, origin_x=ox, origin_y=oy, res=res)
-        gts, dets = [], []
-        for _ in range(n_gts):
-            box = Box3D.from_array(_finite_row(raw, 7, pos))
-            pos += 56
-            (has_meta,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            bh, occ, trunc = struct.unpack_from("<ddd", raw, pos)
-            pos += 24
-            if has_meta:
-                gts.append(GroundTruth(box=box, bbox_height=bh, occlusion=int(occ), truncation=trunc))
-            else:
-                gts.append(GroundTruth(box=box))
-        for _ in range(n_dets):
-            row = _finite_row(raw, 8, pos)
-            pos += 64
-            dets.append(Detection(box=Box3D.from_array(row[:7]), score=float(row[7])))
-    except (struct.error, ValueError, ConfigError) as exc:
-        raise InputError(f"{path}: {exc}") from None
+        head = f.read(60)
+        if head[:8] != SCENE_MAGIC:
+            raise InputError(f"not a scene file: {path}")
+        try:  # a file cut short, a bad grid, non-finite values, non-positive sizes and bad scores are input errors
+            version, scene_id = struct.unpack_from("<II", head, 8)
+            if version != SCENE_VERSION:
+                raise InputError(f"unsupported scene version {version}")
+            w, length, c = struct.unpack_from("<III", head, 16)
+            res, ox, oy = struct.unpack_from("<ddd", head, 28)
+            n_gts, n_dets = struct.unpack_from("<II", head, 52)
+            count = w * length * c
+            if 8 * count > os.fstat(f.fileno()).st_size - 60:
+                raise ValueError(f"file too short for a {w}x{length}x{c} grid")
+            data = np.fromfile(f, dtype="<f8", count=count).reshape(w, length, c)
+            grid = FeatureGrid(data, origin_x=ox, origin_y=oy, res=res)
+            raw = f.read()
+            pos = 0
+            gts, dets = [], []
+            for _ in range(n_gts):
+                box = Box3D.from_array(_finite_row(raw, 7, pos))
+                pos += 56
+                (has_meta,) = struct.unpack_from("<B", raw, pos)
+                pos += 1
+                bh, occ, trunc = struct.unpack_from("<ddd", raw, pos)
+                pos += 24
+                if has_meta:
+                    gts.append(GroundTruth(box=box, bbox_height=bh, occlusion=int(occ), truncation=trunc))
+                else:
+                    gts.append(GroundTruth(box=box))
+            for _ in range(n_dets):
+                row = _finite_row(raw, 8, pos)
+                pos += 64
+                dets.append(Detection(box=Box3D.from_array(row[:7]), score=float(row[7])))
+        except (struct.error, ValueError, ConfigError) as exc:
+            raise InputError(f"{path}: {exc}") from None
     return Scene(id=scene_id, grid=grid, gts=gts, initial_dets=dets)
 
 

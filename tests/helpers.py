@@ -177,6 +177,36 @@ def reference_match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid
     return labels
 
 
+def reference_pool_jacobian(grid, boxes: np.ndarray, cfg) -> np.ndarray:
+    """Pooled Jacobians (B, n, 5) of BEV box rows (B, 5) as the dense formula
+    formed them: each sample point's (2, 5) Jacobian, contracted with the
+    gather's (C, 2) derivatives by `einsum`, over the grid resolution."""
+    from boxebm.featuregrid import bilinear_grad_many, world_to_grid
+
+    uu = ((np.arange(cfg.grid_l) + 0.5) / cfg.grid_l - 0.5)[:, None]
+    vv = ((np.arange(cfg.grid_w) + 0.5) / cfg.grid_w - 0.5)[None, :]
+    cx, cy, w, l, yaw = (boxes[:, k][:, None, None] for k in range(5))
+    cos = np.cos(yaw)
+    sin = np.sin(yaw)
+    lx = uu * l
+    ly = vv * w
+    px = cx + cos * lx - sin * ly
+    py = cy + sin * lx + cos * ly
+    jac = np.zeros(px.shape + (2, 5))
+    jac[..., 0, 0] = 1.0
+    jac[..., 1, 1] = 1.0
+    jac[..., 0, 2] = -sin * vv
+    jac[..., 1, 2] = cos * vv
+    jac[..., 0, 3] = cos * uu
+    jac[..., 1, 3] = sin * uu
+    jac[..., 0, 4] = -sin * lx - cos * ly
+    jac[..., 1, 4] = cos * lx - sin * ly
+    q = world_to_grid(grid, np.stack([px, py], axis=-1).reshape(-1, 2))
+    _, dx, dy = bilinear_grad_many(grid, q)
+    full = np.einsum("ncx,nxp->ncp", np.stack([dx, dy], axis=2), jac.reshape(-1, 2, 5)) / grid.res
+    return full.reshape(len(boxes), -1, 5)
+
+
 def random_bev_box(rng: np.random.Generator, span: float = 4.0) -> Box3D:
     """A box with random BEV fields and the placeholder cz = 0, h = 1."""
     return Box3D(
@@ -257,7 +287,7 @@ def fd_safe_instance(rng: np.random.Generator, min_pre=1e-3, min_cell=1e-3):
 
     while True:
         params, grid, box, cfg = small_energy_setup(rng)
-        pts, _ = _sample_points_batch(box[None, _BEV], cfg, with_jac=False)
+        pts, _ = _sample_points_batch(box[None, _BEV], cfg)
         q = world_to_grid(grid, pts.reshape(-1, 2))
         if np.min(np.abs(q - np.round(q))) < min_cell:
             continue

@@ -15,7 +15,9 @@ from boxebm.energynet import (
 )
 from boxebm.errors import ConfigError, NumericError
 from boxebm.featuregrid import FeatureGrid
+from boxebm.geometry import Box3D
 from boxebm.pooling import PoolConfig
+from boxebm.refine import Detection, RefineConfig, refine_all, refine_one
 from boxebm.synthscene import SynthConfig
 from helpers import default_size_setup, fd_safe_instance, small_energy_setup
 
@@ -275,16 +277,30 @@ class TestBatchConsistency:
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 6, 12])
     def test_per_row_matches_one_row_calls(self, rng, b):
+        # off the grid, rows cycle through partly off (x or y shifted past an
+        # edge), wholly off (the gather is all zero padding) and inside
+        shifts = np.array([(3.5, 0.0), (0.0, -4.0), (25.0, -25.0), (0.0, 0.0)])
         for setup in (small_energy_setup, default_size_setup):
             params, grid, box, cfg = setup(rng)
-            boxes = box + 0.1 * rng.normal(size=(b, 7))
-            values, _ = forward_batch(params, grid, boxes, cfg, per_row=True)
-            gvalues, grads = box_grad_batch(params, grid, boxes, cfg, per_row=True)
-            for k in range(b):
-                one, _ = forward_batch(params, grid, boxes[k:k + 1], cfg)
-                one_g, one_grad = box_grad_batch(params, grid, boxes[k:k + 1], cfg)
-                assert values[k] == one[0] == gvalues[k] == one_g[0]
-                assert np.array_equal(grads[k], one_grad[0])
+            for off_grid in (False, True):
+                boxes = box + 0.1 * rng.normal(size=(b, 7))
+                if off_grid:
+                    boxes[:, :2] += shifts[np.arange(b) % len(shifts)]
+                values, _ = forward_batch(params, grid, boxes, cfg, per_row=True)
+                gvalues, grads = box_grad_batch(params, grid, boxes, cfg, per_row=True)
+                for k in range(b):
+                    one, _ = forward_batch(params, grid, boxes[k:k + 1], cfg)
+                    one_g, one_grad = box_grad_batch(params, grid, boxes[k:k + 1], cfg)
+                    assert values[k] == one[0] == gvalues[k] == one_g[0]
+                    assert np.array_equal(grads[k], one_grad[0])
+                # the batched ascent equals one detection at a time
+                dets = [Detection(Box3D.from_array(row), 0.5) for row in boxes]
+                rcfg = RefineConfig(steps=3, step_size=0.5)
+                refined, traces = refine_all(params, grid, dets, cfg, rcfg)
+                for det, out, trace in zip(dets, refined, traces):
+                    one, one_trace = refine_one(params, grid, det, cfg, rcfg)
+                    assert np.array_equal(out.box.as_array(), one.box.as_array())
+                    assert trace == one_trace
 
 
 class TestCheckpoint:

@@ -52,7 +52,8 @@ class TestBilinear:
     def test_zero_padding_far_outside(self, rng):
         g = make_grid(rng, w=4, l=4)
         q = np.array([(-1.5, 2.0), (4.5, 2.0), (2.0, -2.0), (2.0, 5.0), (40.0, 40.0)])
-        val, jac = bilinear_grad_many(g, q)
+        val, dx, dy = bilinear_grad_many(g, q)
+        jac = np.stack([dx, dy], axis=2)
         assert np.array_equal(val, np.zeros((len(q), g.channels)))
         assert np.array_equal(jac, np.zeros((len(q), g.channels, 2)))
 
@@ -91,14 +92,14 @@ class TestBilinearGrad:
     def test_constant_grid_zero_jacobian(self, rng):
         g = FeatureGrid(np.full((5, 5, 3), -2.5), 0.0, 0.0, 1.0)
         q = rng.uniform(0.5, 3.5, size=(30, 2))
-        _, jac = bilinear_grad_many(g, q)
+        jac = np.stack(bilinear_grad_many(g, q)[1:], axis=2)
         assert np.array_equal(jac, np.zeros_like(jac))
 
     def test_linear_field(self):
         w, l = 6, 5
         data = np.broadcast_to(np.arange(w, dtype=float)[:, None, None], (w, l, 1)).copy()
         g = FeatureGrid(data, 0.0, 0.0, 1.0)
-        _, jac = bilinear_grad_many(g, np.array([[2.3, 1.6]]))
+        jac = np.stack(bilinear_grad_many(g, np.array([[2.3, 1.6]]))[1:], axis=2)
         assert jac[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert jac[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -109,7 +110,7 @@ class TestBilinearGrad:
             q = rng.uniform(0.1, 5.9, size=2)
             # keep at least 1e-3 from integer coordinates
             q = np.where(np.abs(q - np.round(q)) < 1e-3, q + 2e-3, q)
-            _, jac = bilinear_grad_many(g, q[None, :])
+            jac = np.stack(bilinear_grad_many(g, q[None, :])[1:], axis=2)
             # rows q + step * e_x, q + step * e_y, q - step * e_x, q - step * e_y
             shifted = bilinear_many(g, np.vstack([q + step * np.eye(2), q - step * np.eye(2)]))
             for ax in range(2):
@@ -117,11 +118,30 @@ class TestBilinearGrad:
                 denom = np.maximum(np.abs(fd), 1e-9)
                 assert np.max(np.abs(jac[0, :, ax] - fd) / denom) < 1e-6
 
+    def test_equals_pointwise_formula(self, rng):
+        # a pass inside the grid and a pass reaching outside it give the
+        # zero-padded derivative formula
+        g = make_grid(rng, w=9, l=7, c=3)
+        for q in (rng.uniform(0.0, [7.99, 5.99], size=(200, 2)), rng.uniform(-2.0, [10.0, 8.0], size=(200, 2))):
+            def corner(i, j):
+                if 0 <= i < g.data.shape[0] and 0 <= j < g.data.shape[1]:
+                    return g.data[i, j]
+                return np.zeros(g.channels)
+            dx, dy = [], []
+            for x, y in q:
+                ix, iy = int(np.floor(x)), int(np.floor(y))
+                tx, ty = x - ix, y - iy
+                v00, v10, v01, v11 = corner(ix, iy), corner(ix + 1, iy), corner(ix, iy + 1), corner(ix + 1, iy + 1)
+                dx.append((1 - ty) * (v10 - v00) + ty * (v11 - v01))
+                dy.append((1 - tx) * (v01 - v00) + tx * (v11 - v10))
+            _, got_dx, got_dy = bilinear_grad_many(g, q)
+            assert np.array_equal(got_dx, np.array(dx)) and np.array_equal(got_dy, np.array(dy))
+
     def test_value_bit_identical_to_bilinear(self, rng):
         g = make_grid(rng)
         q = rng.uniform(-1, 6, size=(100, 2))
         val_a = bilinear_many(g, q)
-        val_b, _ = bilinear_grad_many(g, q)
+        val_b, _, _ = bilinear_grad_many(g, q)
         assert np.array_equal(val_a, val_b)
 
 

@@ -33,7 +33,7 @@ def unimodal_landscape():
     y_star = np.array([0.3, -0.2, 0.6, 1.5, 1.7, 3.8, 0.4])
     res, origin, n = 0.25, -6.0, 48
     cfg = PoolConfig(grid_w=2, grid_l=2)
-    pts, _ = _sample_points_batch(y_star[None, [0, 1, 4, 5, 6]], cfg, with_jac=False)
+    pts, _ = _sample_points_batch(y_star[None, [0, 1, 4, 5, 6]], cfg)
     pts = pts[0].transpose(1, 0, 2)  # index (i, j): width cell, then length cell
     targets = np.empty((4, 2))
     for i in range(2):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxebm.errors import ConfigError, GenerationError
+from boxebm.errors import ConfigError, GenerationError, InputError
 from boxebm.geometry import Box3D, box_rows, pair_iou
 from boxebm.synthscene import (
     FileScenes,
@@ -191,6 +191,26 @@ class TestSceneFiles:
         # byte-identical re-serialization
         save_scene(load_scene(path), tmp_path / "scene2.bin")
         assert path.read_bytes() == (tmp_path / "scene2.bin").read_bytes()
+
+    def test_non_square_grid_loads_aligned_and_owned(self, tmp_path):
+        # W != L and an odd channel count; the grid starts 60 bytes into the
+        # file, so a view into the file's bytes would be misaligned
+        cfg = replace(TEST_CFG, grid_w=20, grid_l=36, channels=5)
+        scene = gen_scene_by_index(cfg, 3)
+        path = tmp_path / "scene.bin"
+        save_scene(scene, path)
+        data = load_scene(path).grid.data
+        assert data.shape == (20, 36, 5) and data.dtype == np.float64
+        assert data.flags.c_contiguous and data.flags.aligned
+        # its memory is numpy's own (reshaped at most), not the file's bytes
+        assert data.flags.owndata or (isinstance(data.base, np.ndarray) and data.base.flags.owndata)
+        assert data.tobytes() == scene.grid.data.tobytes()
+        # a file cut inside the grid is an input error, not a short grid
+        raw = path.read_bytes()
+        for cut in (60, 61, 60 + 8 * 20 * 36 * 5 - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(InputError):
+                load_scene(path)
 
     def test_dataset_round_trip(self, tmp_path):
         scenes = [gen_scene_by_index(TEST_CFG, i) for i in range(5)]
