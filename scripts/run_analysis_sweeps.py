@@ -21,15 +21,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--train-scenes", type=int, default=600)
     ap.add_argument("--val-scenes", type=int, default=100)
-    ap.add_argument("--epochs", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--epochs", type=int, help="default: train.epochs")
+    ap.add_argument("--seed", type=int, help="default: the run config's seed")
     args = ap.parse_args()
 
-    cfg = build_run_config({}, {
-        "seed": str(args.seed),
-        "train.epochs": str(args.epochs),
-        "synth.symmetric_rendering": "true",
-    })
+    given = {"seed": args.seed, "train.epochs": args.epochs}
+    cfg = build_run_config({}, {"synth.symmetric_rendering": "true",
+                                **{key: str(v) for key, v in given.items() if v is not None}})
     trained, records = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),
                              LazyScenes(cfg.synth, range(args.train_scenes)),
                              cfg.train, cfg.noise.build(), cfg.pool)

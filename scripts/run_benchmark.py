@@ -29,15 +29,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--train-scenes", type=int, default=2000)
     ap.add_argument("--val-scenes", type=int, default=400)
-    ap.add_argument("--epochs", type=int, default=3)
+    ap.add_argument("--epochs", type=int, help="default: train.epochs")
     ap.add_argument("--quick", action="store_true", help="200/40 scenes, 2 epochs")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, help="default: the run config's seed")
     ap.add_argument("--checkpoint", help="where to save the trained network")
     args = ap.parse_args()
     if args.quick:
         args.train_scenes, args.val_scenes, args.epochs = 200, 40, 2
 
-    cfg = build_run_config({}, {"seed": str(args.seed), "train.epochs": str(args.epochs)})
+    given = {"seed": args.seed, "train.epochs": args.epochs}
+    cfg = build_run_config({}, {key: str(v) for key, v in given.items() if v is not None})
     print(f"# {resolved_line(cfg)}")
     t0 = time.perf_counter()
     trained, records = train(init_params(cfg.seed, cfg.net_dims(cfg.synth.channels)),

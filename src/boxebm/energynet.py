@@ -26,6 +26,7 @@ from .pooling import PoolConfig, pool_bev_batch
 
 CHECKPOINT_MAGIC = b"BOXEBMCK"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<8s2I")  # magic, version, tensor count
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,7 @@ def save_checkpoint(params: EnergyNetParams, path):
     the parameter vector as little-endian float64."""
     table = _tensor_table(params.dims)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(table)))
+        f.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(table)))
         for name, shape in table:
             enc = name.encode()
             f.write(struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape))
@@ -286,13 +286,13 @@ def load_checkpoint(path) -> EnergyNetParams:
     its layer sizes imply; any other file ends in ConfigError."""
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:8] != CHECKPOINT_MAGIC:
+    if not raw.startswith(CHECKPOINT_MAGIC):
         raise ConfigError(f"not a checkpoint file: {path}")
     try:  # a file cut short ends in one of these
-        version, n_tensors = struct.unpack_from("<II", raw, 8)
+        _, version, n_tensors = _CHECKPOINT_HEADER.unpack_from(raw)
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
-        pos = 16
+        pos = _CHECKPOINT_HEADER.size
         table = []
         for _ in range(n_tensors):
             (name_len,) = struct.unpack_from("<H", raw, pos)

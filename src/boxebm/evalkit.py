@@ -59,6 +59,8 @@ class GroundTruth:
     truncation: float | None = None  # [0, 1]
 
     def __post_init__(self):
+        if self.bbox_height is not None and not 0.0 <= self.bbox_height < math.inf:
+            raise InputError(f"bbox_height must be finite and >= 0, got {self.bbox_height}")
         if self.occlusion is not None and self.occlusion not in (0, 1, 2, 3):
             raise InputError(f"occlusion must be in 0..3, got {self.occlusion}")
         if self.truncation is not None and not 0.0 <= self.truncation <= 1.0:

@@ -35,6 +35,8 @@ class FeatureGrid:
             raise ConfigError(f"grid too small: {self.data.shape}")
         if not self.res > 0:
             raise ConfigError(f"grid resolution must be positive, got {self.res}")
+        if not (np.isfinite(self.origin_x) and np.isfinite(self.origin_y)):
+            raise ConfigError(f"grid origin must be finite, got ({self.origin_x}, {self.origin_y})")
         if not np.all(np.isfinite(self.data)):
             raise ConfigError("grid data contains non-finite values")
 

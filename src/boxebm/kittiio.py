@@ -1,8 +1,8 @@
 """KITTI object-label and result-file text I/O.
 
-Field order per line: type truncated occluded alpha bbox(4: left top right
-bottom) dimensions(3: h w l) location(3: x y z, camera frame, y is the box
-BOTTOM) rotation_y [score]. 15 fields for labels, 16 for results.
+The columns of a line are the fields of `KittiLabel` in declaration order:
+15 for labels, 16 for results, which end in a score. The location x y z is
+in the camera frame, with y at the box BOTTOM.
 
 Camera frame -> library world frame: cx = z, cy = -x, cz = -y + h/2 (the
 bottom-center location is lifted to the geometric center), yaw =
@@ -15,13 +15,11 @@ detector's internal frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError, ParseError
 from .geometry import Box3D
 
-N_LABEL_FIELDS = 15
-N_RESULT_FIELDS = 16
 DONT_CARE = "DontCare"
 
 
@@ -32,6 +30,8 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class KittiLabel:
+    """One label or result line. The field order is the file's column order."""
+
     type: str
     truncated: float
     occluded: int
@@ -53,13 +53,14 @@ class KittiLabel:
     def is_evaluable(self) -> bool:
         return self.type != DONT_CARE and self.h > 0 and self.w > 0 and self.l > 0
 
-    def numeric_fields(self):
-        fields = [self.truncated, float(self.occluded), self.alpha,
-                  self.bbox_left, self.bbox_top, self.bbox_right, self.bbox_bottom,
-                  self.h, self.w, self.l, self.x, self.y, self.z, self.rotation_y]
-        if self.score is not None:
-            fields.append(self.score)
-        return fields
+    def numeric_fields(self) -> list[float]:
+        """The numeric columns in file order, the score only when present."""
+        values = (getattr(self, f.name) for f in fields(self)[1:])
+        return [float(v) for v in values if v is not None]
+
+
+N_RESULT_FIELDS = len(fields(KittiLabel))
+N_LABEL_FIELDS = N_RESULT_FIELDS - 1  # no score
 
 
 def parse_label_file(text: str) -> list[KittiLabel]:
@@ -70,26 +71,17 @@ def parse_label_file(text: str) -> list[KittiLabel]:
             continue
         tokens = line.split()
         if len(tokens) not in (N_LABEL_FIELDS, N_RESULT_FIELDS):
-            raise ParseError(f"expected 15 or 16 fields, got {len(tokens)}", line=lineno)
+            raise ParseError(f"expected {N_LABEL_FIELDS} or {N_RESULT_FIELDS} fields, got {len(tokens)}", line=lineno)
         try:
             nums = [float(t) for t in tokens[1:]]
         except ValueError as exc:
             raise ParseError(f"unparsable number: {exc}", line=lineno) from None
         if not all(map(math.isfinite, nums)):
             raise ParseError("non-finite number", line=lineno)
-        if nums[5] < nums[3] or nums[6] < nums[4]:
+        label = KittiLabel(tokens[0], nums[0], int(nums[1]), *nums[2:])
+        if label.bbox_right < label.bbox_left or label.bbox_bottom < label.bbox_top:
             raise ParseError("2D bbox has right < left or bottom < top", line=lineno)
-        labels.append(KittiLabel(
-            type=tokens[0],
-            truncated=nums[0],
-            occluded=int(nums[1]),
-            alpha=nums[2],
-            bbox_left=nums[3], bbox_top=nums[4], bbox_right=nums[5], bbox_bottom=nums[6],
-            h=nums[7], w=nums[8], l=nums[9],
-            x=nums[10], y=nums[11], z=nums[12],
-            rotation_y=nums[13],
-            score=nums[14] if len(nums) == 15 else None,
-        ))
+        labels.append(label)
     return labels
 
 

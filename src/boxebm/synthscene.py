@@ -36,6 +36,12 @@ from .refine import Detection
 SCENE_MAGIC = b"BEVSCENE"
 SCENE_VERSION = 1
 
+# Scene file, little-endian: this header, the grid (W, L, C) as float64 in C
+# order, then one record per ground truth and one per initial detection.
+_HEADER = struct.Struct("<8s5I3d2I")  # magic, version, id, W, L, C, res, origin x, y, #gts, #dets
+_GT_RECORD = struct.Struct("<7dB3d")  # box, has-metadata flag, bbox height, occlusion, truncation
+_DET_RECORD = struct.Struct("<8d")  # box, score
+
 OCCUPANCY_SOFTNESS = 0.25  # m
 DISTANCE_CLIP = 2.0  # m
 
@@ -247,70 +253,54 @@ class LazyScenes:
 
 def save_scene(scene: Scene, path):
     g = scene.grid
-    w, length, c = g.data.shape
     with open(path, "wb") as f:
-        f.write(SCENE_MAGIC)
-        f.write(struct.pack("<II", SCENE_VERSION, scene.id))
-        f.write(struct.pack("<III", w, length, c))
-        f.write(struct.pack("<ddd", g.res, g.origin_x, g.origin_y))
-        f.write(struct.pack("<II", len(scene.gts), len(scene.initial_dets)))
+        f.write(_HEADER.pack(SCENE_MAGIC, SCENE_VERSION, scene.id, *g.data.shape, g.res, g.origin_x,
+                             g.origin_y, len(scene.gts), len(scene.initial_dets)))
         f.write(np.ascontiguousarray(g.data, dtype="<f8").tobytes())
         for gt in scene.gts:
-            f.write(np.ascontiguousarray(gt.box.as_array(), dtype="<f8").tobytes())
-            has_meta = gt.has_difficulty_meta
-            f.write(struct.pack("<B", int(has_meta)))
-            meta = (gt.bbox_height, float(gt.occlusion), gt.truncation) if has_meta else (0.0, 0.0, 0.0)
-            f.write(struct.pack("<ddd", *meta))
+            meta = (gt.bbox_height, gt.occlusion, gt.truncation) if gt.has_difficulty_meta else (0.0, 0.0, 0.0)
+            f.write(_GT_RECORD.pack(*gt.box.as_array(), gt.has_difficulty_meta, *meta))
         for det in scene.initial_dets:
-            row = np.append(det.box.as_array(), det.score)
-            f.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
+            f.write(_DET_RECORD.pack(*det.box.as_array(), det.score))
 
 
-def _finite_row(raw: bytes, count: int, offset: int) -> np.ndarray:
-    row = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    if not np.isfinite(row).all():
-        raise ValueError(f"non-finite values {row.tolist()}")
-    return row
+def _finite(values):
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite values {list(values)}")
+    return values
+
+
+def _ground_truth(record) -> GroundTruth:
+    *box, has_meta, bbox_height, occlusion, truncation = record
+    if has_meta and not occlusion.is_integer():
+        raise ValueError(f"occlusion must be a finite integer, got {occlusion}")
+    meta = (bbox_height, int(occlusion), truncation) if has_meta else ()
+    return GroundTruth(Box3D.from_array(_finite(box)), *meta)
 
 
 def load_scene(path) -> Scene:
     """Inverse of `save_scene`. The grid is read straight into its own
     (aligned, C-contiguous) float64 array."""
     with open(path, "rb") as f:
-        head = f.read(60)
-        if head[:8] != SCENE_MAGIC:
+        head = f.read(_HEADER.size)
+        if not head.startswith(SCENE_MAGIC):
             raise InputError(f"not a scene file: {path}")
-        try:  # a file cut short, a bad grid, non-finite values, non-positive sizes and bad scores are input errors
-            version, scene_id = struct.unpack_from("<II", head, 8)
+        try:  # a file cut short, a bad grid and bad box records (values, sizes, scores, metadata) are input errors
+            _, version, scene_id, w, length, c, res, ox, oy, n_gts, n_dets = _HEADER.unpack(head)
             if version != SCENE_VERSION:
-                raise InputError(f"unsupported scene version {version}")
-            w, length, c = struct.unpack_from("<III", head, 16)
-            res, ox, oy = struct.unpack_from("<ddd", head, 28)
-            n_gts, n_dets = struct.unpack_from("<II", head, 52)
+                raise ValueError(f"unsupported scene version {version}")
             count = w * length * c
-            if 8 * count > os.fstat(f.fileno()).st_size - 60:
-                raise ValueError(f"file too short for a {w}x{length}x{c} grid")
+            gt_end = n_gts * _GT_RECORD.size
+            det_end = gt_end + n_dets * _DET_RECORD.size
+            if _HEADER.size + 8 * count + det_end > os.fstat(f.fileno()).st_size:
+                raise ValueError(f"file too short for a {w}x{length}x{c} grid and {n_gts + n_dets} box records")
             data = np.fromfile(f, dtype="<f8", count=count).reshape(w, length, c)
             grid = FeatureGrid(data, origin_x=ox, origin_y=oy, res=res)
-            raw = f.read()
-            pos = 0
-            gts, dets = [], []
-            for _ in range(n_gts):
-                box = Box3D.from_array(_finite_row(raw, 7, pos))
-                pos += 56
-                (has_meta,) = struct.unpack_from("<B", raw, pos)
-                pos += 1
-                bh, occ, trunc = struct.unpack_from("<ddd", raw, pos)
-                pos += 24
-                if has_meta:
-                    gts.append(GroundTruth(box=box, bbox_height=bh, occlusion=int(occ), truncation=trunc))
-                else:
-                    gts.append(GroundTruth(box=box))
-            for _ in range(n_dets):
-                row = _finite_row(raw, 8, pos)
-                pos += 64
-                dets.append(Detection(box=Box3D.from_array(row[:7]), score=float(row[7])))
-        except (struct.error, ValueError, ConfigError) as exc:
+            raw = f.read(det_end)
+            gts = [_ground_truth(r) for r in _GT_RECORD.iter_unpack(raw[:gt_end])]
+            dets = [Detection(box=Box3D.from_array(r[:7]), score=r[7])
+                    for r in map(_finite, _DET_RECORD.iter_unpack(raw[gt_end:]))]
+        except (struct.error, ValueError, ConfigError, InputError) as exc:
             raise InputError(f"{path}: {exc}") from None
     return Scene(id=scene_id, grid=grid, gts=gts, initial_dets=dets)
 

@@ -563,6 +563,141 @@ class TestMalformedInputs:
             assert err.count("\n") == 1, (cut, err)
 
 
+def fails(capsys, argv, category, *needles):
+    """`argv` exits 1 with one `error:<category>:` line on stderr holding every needle."""
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{category}:") and err.count("\n") == 1, err
+    assert all(needle in err for needle in needles), err
+
+
+class TestErrorPaths:
+    """Each bad argument, config value or file ends in its one error line."""
+
+    # scene files of `TestMalformedInputs.tiny_dataset`: a 60-byte header, a
+    # 2x2x4 float64 grid, then the ground-truth record (7 box values, a
+    # metadata flag, bbox height, occlusion, truncation)
+    GT_AT = 60 + 8 * 2 * 2 * 4
+    META_AT = {"bbox_height": GT_AT + 57, "occlusion": GT_AT + 65}
+
+    @staticmethod
+    def patch(path: Path, offset: int, fmt: str, value):
+        import struct
+
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+
+    def kitti_dirs(self, tmp_path, gt_files, det_files):
+        for name, files in (("gt", gt_files), ("dets", det_files)):
+            (tmp_path / name).mkdir()
+            for fname, line in files.items():
+                (tmp_path / name / fname).write_text(line + "\n")
+        return ["eval", "--kitti-gt", str(tmp_path / "gt"), "--dets", str(tmp_path / "dets"),
+                "--out", str(tmp_path / "out")]
+
+    def test_empty_split(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        TestMalformedInputs.tiny_dataset(data)
+        fails(capsys, ["eval", "--dataset", str(data), "--split", "test", "--out", str(tmp_path / "out")],
+              "input", "'test'")
+
+    def test_kitti_gt_without_label_files(self, tmp_path, capsys):
+        argv = self.kitti_dirs(tmp_path, {}, {"000000.txt": KITTI_CAR + " 0.5"})
+        fails(capsys, argv, "input", "no label files")
+
+    def test_detection_without_score(self, tmp_path, capsys):
+        argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR}, {"000000.txt": KITTI_CAR})
+        fails(capsys, argv, "input", "without a score")
+
+    def test_detection_and_gt_scene_sets_differ(self, tmp_path, capsys):
+        argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR}, {"000001.txt": KITTI_CAR + " 0.5"})
+        fails(capsys, argv, "input", "missing=[0] extra=[1]")
+
+    def test_eval_without_ground_truth(self, tmp_path, capsys):
+        fails(capsys, ["eval", "--out", str(tmp_path / "out")], "config", "--kitti-gt")
+
+    def test_eval_kitti_gt_without_dets(self, tmp_path, capsys):
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "gt" / "000000.txt").write_text(KITTI_CAR + "\n")
+        fails(capsys, ["eval", "--kitti-gt", str(tmp_path / "gt"), "--out", str(tmp_path / "out")],
+              "config", "nothing to evaluate")
+
+    def test_angle_scan_unknown_scene_id(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        TestMalformedInputs.tiny_dataset(data)
+        fails(capsys, ["angle-scan", "--dataset", str(data), "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--scene-id", "7", "--out", str(tmp_path / "out")], "input", "scene id 7")
+
+    def test_set_without_equals(self, tmp_path, capsys):
+        fails(capsys, ["synth-gen", "--set", "n_scenes", "--out", str(tmp_path)], "config", "'n_scenes'")
+
+    @pytest.mark.parametrize("text,value", [("yes", True), ("off", False), ("1", True), ("FALSE", False)])
+    def test_boolean_values(self, text, value):
+        cfg = build_run_config({}, {"synth.symmetric_rendering": text})
+        assert cfg.synth.symmetric_rendering is value
+
+    def test_invalid_boolean(self, tmp_path, capsys):
+        fails(capsys, ["synth-gen", "--set", "synth.symmetric_rendering=maybe", "--out", str(tmp_path)],
+              "config", "symmetric_rendering", "boolean")
+
+    def test_config_file_line_without_equals(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("# comment\nseed = 3\ntrain.epochs 4\n")
+        fails(capsys, ["synth-gen", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)],
+              "config", "line 3")
+
+    def test_key_without_group(self, tmp_path, capsys):
+        fails(capsys, ["synth-gen", "--set", "nope=1", "--out", str(tmp_path)], "config", "'nope'")
+
+    def test_scene_file_unsupported_version(self, tmp_path, capsys):
+        path = TestMalformedInputs.tiny_dataset(tmp_path / "data")
+        self.patch(path, 8, "<I", 2)
+        fails(capsys, ["eval", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")],
+              "input", str(path), "unsupported scene version 2")
+
+    def test_checkpoint_unsupported_version(self, tmp_path, capsys):
+        from boxebm.energynet import EnergyNetDims, init_params, save_checkpoint
+        from boxebm.pooling import PoolConfig
+
+        TestMalformedInputs.tiny_dataset(tmp_path / "data")
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_params(0, EnergyNetDims(PoolConfig().feature_len(4), 2, (3, 2))), ckpt)
+        self.patch(ckpt, 8, "<I", 2)
+        fails(capsys, ["refine", "--dataset", str(tmp_path / "data"), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "out")], "config", "unsupported checkpoint version 2")
+
+    def test_manifest_line_with_two_fields(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        TestMalformedInputs.tiny_dataset(data)
+        (data / "manifest.txt").write_text("000000 val\n")
+        fails(capsys, ["eval", "--dataset", str(data), "--out", str(tmp_path / "out")],
+              "input", "manifest line 1")
+
+    @pytest.mark.parametrize("field,value", [
+        ("occlusion", math.inf),  # was an OverflowError traceback
+        ("occlusion", 2.7),  # loaded as 2
+        ("bbox_height", math.nan),  # counted at no difficulty
+        ("bbox_height", -1.0),
+    ])
+    def test_scene_file_bad_difficulty_metadata(self, tmp_path, capsys, field, value):
+        path = TestMalformedInputs.tiny_dataset(tmp_path / "data")
+        self.patch(path, self.META_AT[field], "<d", value)
+        fails(capsys, ["eval", "--dataset", str(tmp_path / "data"), "--set", "eval.difficulties=easy",
+                       "--out", str(tmp_path / "out")], "input", str(path), field)
+
+    def test_scene_file_integral_occlusion_loads(self, tmp_path):
+        path = TestMalformedInputs.tiny_dataset(tmp_path / "data")
+        self.patch(path, self.META_AT["occlusion"], "<d", 2.0)
+        assert run(["eval", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    def test_scene_file_non_finite_origin(self, tmp_path, capsys, command):
+        path = TestMalformedInputs.tiny_dataset(tmp_path / "data")
+        self.patch(path, 36, "<d", math.nan)  # origin x, after the resolution at 28
+        fails(capsys, [command, "--dataset", str(tmp_path / "data"), "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--out", str(tmp_path / "out")], "input", str(path), "origin")
+
+
 class TestScripts:
     """Both experiment scripts run end to end at tiny sizes."""
 

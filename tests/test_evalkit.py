@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -393,3 +395,15 @@ class TestEvaluate:
 def test_mode_validation():
     with pytest.raises(InputError):
         evaluate({0: [det_at(0, 0, 0.9)]}, {0: [gt_at(0, 0)]}, modes=("2d",))
+
+
+@pytest.mark.parametrize("meta", [
+    dict(bbox_height=math.nan), dict(bbox_height=math.inf), dict(bbox_height=-1.0),
+    dict(occlusion=4), dict(truncation=math.nan), dict(truncation=1.5),
+])
+def test_ground_truth_metadata_validation(meta):
+    full = dict(bbox_height=40.0, occlusion=0, truncation=0.0)
+    GroundTruth(box=car_at(0, 0), **full)
+    GroundTruth(box=car_at(0, 0), **{**full, "bbox_height": 0.0})
+    with pytest.raises(InputError, match=next(iter(meta))):
+        GroundTruth(box=car_at(0, 0), **{**full, **meta})

@@ -154,3 +154,6 @@ def test_invalid_grids_rejected(rng):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ConfigError):
         FeatureGrid(bad, 0, 0, 1.0)
+    for origin in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ConfigError, match="origin"):
+            FeatureGrid(np.zeros((5, 5, 2)), *origin, 1.0)

@@ -212,6 +212,38 @@ class TestSceneFiles:
             with pytest.raises(InputError):
                 load_scene(path)
 
+    def test_bytes_follow_the_field_by_field_layout(self, tmp_path):
+        # the file format stated independently of `synthscene`: header,
+        # grid, ground-truth records with and without difficulty
+        # metadata, then detection records
+        import struct
+
+        from boxebm.evalkit import GroundTruth
+        from boxebm.featuregrid import FeatureGrid
+        from boxebm.refine import Detection
+
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(3, 2, 2))
+        boxes = [Box3D(*rng.normal(size=3), 1.5, 1.6, 3.9, -0.0) for _ in range(3)]
+        scene = Scene(id=12, grid=FeatureGrid(data, -1.25, 0.5, 0.25),
+                      gts=[GroundTruth(boxes[0], 40.5, 2, 0.25), GroundTruth(boxes[1])],
+                      initial_dets=[Detection(boxes[2], 0.75)])
+        expected = b"BEVSCENE" + struct.pack("<II", 1, 12) + struct.pack("<III", 3, 2, 2)
+        expected += struct.pack("<ddd", 0.25, -1.25, 0.5) + struct.pack("<II", 2, 1)
+        expected += data.astype("<f8").tobytes()
+        expected += boxes[0].as_array().tobytes() + struct.pack("<B", 1) + struct.pack("<ddd", 40.5, 2.0, 0.25)
+        expected += boxes[1].as_array().tobytes() + struct.pack("<B", 0) + struct.pack("<ddd", 0.0, 0.0, 0.0)
+        expected += boxes[2].as_array().tobytes() + struct.pack("<d", 0.75)
+        path = tmp_path / "scene.bin"
+        save_scene(scene, path)
+        assert path.read_bytes() == expected
+        loaded = load_scene(path)
+        assert loaded.gts == scene.gts and loaded.initial_dets == scene.initial_dets
+        assert loaded.grid.data.tobytes() == data.tobytes()
+        # trailing bytes after the last record are ignored, as before
+        path.write_bytes(expected + b"\0" * 5)
+        assert load_scene(path).gts == scene.gts
+
     def test_dataset_round_trip(self, tmp_path):
         scenes = [gen_scene_by_index(TEST_CFG, i) for i in range(5)]
         splits = ["train"] * 4 + ["val"]
