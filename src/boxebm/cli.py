@@ -146,19 +146,11 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _kitti_labels(path: Path):
-    """Parsed labels of one file, with a non-DontCare box of non-positive size an input error."""
-    labels = parse_label_file(path.read_text())
-    for n, lab in enumerate(labels, start=1):
-        if lab.type != DONT_CARE and not lab.is_evaluable:
-            raise InputError(f"{path}: label {n} has a non-positive dimension "
-                             f"(h={lab.h} w={lab.w} l={lab.l})")
-    return labels
-
-
-def _kitti_files(root: Path) -> dict:
-    """KITTI files under `root` by scene id, in name order. A file's name is
-    its id in decimal digits, and two names for one id are an input error."""
+def _read_kitti_dir(root: Path, convert) -> dict:
+    """`convert(labels)` of each KITTI file under `root`, by scene id in name
+    order. A file's name is its id in decimal digits, and two names for one
+    id are an input error. So is a non-DontCare box of non-positive size;
+    every input error raised while reading a file names that file."""
     files = {}
     for path in sorted(Path(root).glob("*.txt")):
         if not (path.stem.isascii() and path.stem.isdigit()):
@@ -167,37 +159,35 @@ def _kitti_files(root: Path) -> dict:
         if sid in files:
             raise InputError(f"{files[sid]} and {path} are both scene {sid}")
         files[sid] = path
-    return files
+    out = {}
+    for sid, path in files.items():
+        try:
+            labels = parse_label_file(path.read_text())
+            for n, lab in enumerate(labels, start=1):
+                if lab.type != DONT_CARE and not lab.is_evaluable:
+                    raise InputError(f"label {n} has a non-positive dimension (h={lab.h} w={lab.w} l={lab.l})")
+            out[sid] = convert(labels)
+        except (InputError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: {exc}") from None
+    return out
 
 
-def _gts_from_kitti(label_dir: Path):
-    gts = {}
-    for sid, path in _kitti_files(label_dir).items():
-        gts[sid] = [GroundTruth(
-            box=to_box3d(lab),
-            bbox_height=lab.bbox_bottom - lab.bbox_top,
-            occlusion=min(max(lab.occluded, 0), 3),
-            truncation=min(max(lab.truncated, 0.0), 1.0),
-        ) for lab in _kitti_labels(path) if lab.type != DONT_CARE]
-    if not gts:
-        raise InputError(f"no label files under {label_dir}")
-    return gts
+def _ground_truths(labels) -> list:
+    return [GroundTruth(
+        box=to_box3d(lab),
+        bbox_height=lab.bbox_bottom - lab.bbox_top,
+        occlusion=min(max(lab.occluded, 0), 3),
+        truncation=min(max(lab.truncated, 0.0), 1.0),
+    ) for lab in labels if lab.type != DONT_CARE]
 
 
-def _dets_from_kitti(dets_dir: Path, expected_ids):
-    dets = {}
-    for sid, path in _kitti_files(dets_dir).items():
-        rows = []
-        for lab in _kitti_labels(path):
-            if lab.score is None:
-                raise InputError(f"{path} has a detection without a score")
-            rows.append(ScoredBox(to_box3d(lab), lab.score))
-        dets[sid] = rows
-    missing = sorted(set(expected_ids) - set(dets))
-    extra = sorted(set(dets) - set(expected_ids))
-    if missing or extra:
-        raise InputError(f"detection/GT scene sets differ; missing={missing} extra={extra}")
-    return dets
+def _scored_boxes(labels) -> list:
+    rows = []
+    for n, lab in enumerate(labels, start=1):
+        if lab.score is None:
+            raise InputError(f"label {n} is a detection without a score")
+        rows.append(ScoredBox(to_box3d(lab), lab.score))
+    return rows
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
@@ -214,13 +204,20 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             scene = scenes[i]
             gts[scene.id], initial[scene.id] = scene.gts, scene.initial_dets
     else:
-        gts = _gts_from_kitti(Path(args.kitti_gt))
+        gt_root = Path(args.kitti_gt)
+        gts = _read_kitti_dir(gt_root, _ground_truths)
+        if not gts:
+            raise InputError(f"no label files under {gt_root}")
     refined = None
     if args.dets is not None:
         dets_root = Path(args.dets)
         if (dets_root / _DETS_DIR).exists():  # accept a refine --out directory directly
             dets_root = dets_root / _DETS_DIR
-        refined = _dets_from_kitti(dets_root, gts.keys())
+        refined = _read_kitti_dir(dets_root, _scored_boxes)
+        missing = sorted(set(gts) - set(refined))
+        extra = sorted(set(refined) - set(gts))
+        if missing or extra:
+            raise InputError(f"detection/GT scene sets differ; missing={missing} extra={extra}")
     if initial is None and refined is None:
         raise ConfigError("nothing to evaluate: provide --dets and/or a scene --dataset")
 

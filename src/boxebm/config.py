@@ -55,6 +55,10 @@ class NoiseConfig:
 class SweepConfig:
     t_values: tuple = (0, 1, 2, 4, 8, 10, 16, 32, 64)
 
+    def __post_init__(self):
+        if not self.t_values or min(self.t_values) < 0:
+            raise ConfigError(f"sweep.t_values must be one or more step counts >= 0, got {self.t_values}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

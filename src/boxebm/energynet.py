@@ -132,13 +132,14 @@ def _matmul(x: np.ndarray, w: np.ndarray, per_row: bool) -> np.ndarray:
 
 
 def _enc_forward(layers, x: np.ndarray, where: str, per_row: bool):
-    """x: (B,) scalars -> pre/post activations of the two ReLU layers."""
+    """x: (B,) scalars -> (output (B, e), record): the two ReLU layers'
+    input, pre- and post-activations, as `_backward` reads them."""
     z1 = x[:, None] * layers[0].W[:, 0][None, :] + layers[0].b[None, :]
     _check_finite(z1, f"{where}.0")
     a1 = np.maximum(z1, 0.0)
     z2 = _matmul(a1, layers[1].W.T, per_row) + layers[1].b[None, :]
     _check_finite(z2, f"{where}.1")
-    return z1, a1, z2, np.maximum(z2, 0.0)
+    return np.maximum(z2, 0.0), dict(x=x, z1=z1, a1=a1, z2=z2)
 
 
 def _validate(params: EnergyNetParams, grid: FeatureGrid, cfg: PoolConfig):
@@ -152,7 +153,9 @@ def _validate(params: EnergyNetParams, grid: FeatureGrid, cfg: PoolConfig):
 
 def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig,
                   with_box_jac: bool = False, per_row: bool = False):
-    """Energies for box rows (B, 7). Returns (values (B,), cache dict).
+    """Energies for box rows (B, 7). Returns (values (B,), cache dict): the
+    activations of each layer group ("head", "enc_cz", "enc_h"), the
+    pooling Jacobians and `per_row`.
 
     With `per_row`, every row's value equals its one-row call bit for bit,
     whatever the other rows are; without it, rows of larger batches may
@@ -160,9 +163,9 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     _validate(params, grid, cfg)
     boxes = np.asarray(boxes, dtype=float)
     pooled, pooled_jac = pool_bev_batch(grid, boxes[:, _BEV], cfg, with_jac=with_box_jac)
-    cz1, ca1, cz2, ca2 = _enc_forward(params.enc_cz, boxes[:, 2], "enc_cz", per_row)
-    hz1, ha1, hz2, ha2 = _enc_forward(params.enc_h, boxes[:, 3], "enc_h", per_row)
-    h5 = np.concatenate([pooled, ca2, ha2], axis=1)
+    enc_cz, rec_cz = _enc_forward(params.enc_cz, boxes[:, 2], "enc_cz", per_row)
+    enc_h, rec_h = _enc_forward(params.enc_h, boxes[:, 3], "enc_h", per_row)
+    h5 = np.concatenate([pooled, enc_cz, enc_h], axis=1)
     w1, w2, w3 = params.head
     z1 = _matmul(h5, w1.W.T, per_row) + w1.b[None, :]
     _check_finite(z1, "head.0")
@@ -172,54 +175,52 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     a2 = np.maximum(z2, 0.0)
     values = _matmul(a2, w3.W[0], per_row) + w3.b[0]
     _check_finite(values, "head.2")
-    cache = dict(
-        boxes=boxes, pooled=pooled, pooled_jac=pooled_jac, h5=h5,
-        cz1=cz1, ca1=ca1, cz2=cz2, hz1=hz1, ha1=ha1, hz2=hz2,
-        z1=z1, a1=a1, z2=z2, a2=a2,
-    )
+    cache = dict(head=dict(x=h5, z1=z1, a1=a1, z2=z2, a2=a2), enc_cz=rec_cz, enc_h=rec_h,
+                 pooled_jac=pooled_jac, per_row=per_row)
     return values, cache
 
 
-def _head_backward(params, cache, delta: np.ndarray, first_input: int = 0, grads=None,
-                   per_row: bool = False):
-    """Backprop the head with per-row output weights delta (B,). Returns dh5
-    (B, n5 - first_input), the gradient w.r.t. the head inputs from column
-    `first_input` on. Given `grads` (the head layers of a gradient
-    `EnergyNetParams`), also writes the parameter gradients there."""
+def _backward(params: EnergyNetParams, cache: dict, delta: np.ndarray, grads=None):
+    """Backprop per-row output weights delta (B,) through the head and both
+    encoders. Returns the gradients w.r.t. the pooled vector (B, feat_len),
+    cz (B,) and h (B,). Given `grads` (a gradient `EnergyNetParams`), also
+    writes every layer's parameter gradient there; the pooled gradient,
+    which leads to no parameter, is then not formed and is None."""
+    per_row = cache["per_row"]
+    n4 = params.dims.feat_len
+    e = params.dims.enc_dim
     w1, w2, w3 = params.head
-    a1, a2, z1, z2, h5 = cache["a1"], cache["a2"], cache["z1"], cache["z2"], cache["h5"]
-    d3 = delta  # (B,)
-    da2 = d3[:, None] * w3.W[0][None, :]
-    dz2 = da2 * (z2 > 0.0)
+    head = cache["head"]
+    da2 = delta[:, None] * w3.W[0][None, :]
+    dz2 = da2 * (head["z2"] > 0.0)
     da1 = _matmul(dz2, w2.W, per_row)
-    dz1 = da1 * (z1 > 0.0)
-    dh5 = _matmul(dz1, w1.W[:, first_input:], per_row)
-    if grads is not None:
-        g1, g2, g3 = grads
-        g3.W[0] = d3 @ a2
-        g3.b[0] = d3.sum()
-        g2.W[:] = dz2.T @ a1
+    dz1 = da1 * (head["z1"] > 0.0)
+    if grads is None:
+        dh5 = _matmul(dz1, w1.W, per_row)
+        dpooled, denc = dh5[:, :n4], dh5[:, n4:]
+    else:
+        dpooled, denc = None, _matmul(dz1, w1.W[:, n4:], per_row)
+        g1, g2, g3 = grads.head
+        g3.W[0] = delta @ head["a2"]
+        g3.b[0] = delta.sum()
+        g2.W[:] = dz2.T @ head["a1"]
         g2.b[:] = dz2.sum(axis=0)
-        g1.W[:] = dz1.T @ h5
+        g1.W[:] = dz1.T @ head["x"]
         g1.b[:] = dz1.sum(axis=0)
-    return dh5
-
-
-def _enc_backward(layers, cache_z1, cache_a1, cache_z2, x: np.ndarray, dout: np.ndarray,
-                  grads=None, per_row: bool = False):
-    """Backprop one scalar encoder. Returns dx (B,); given `grads`, also
-    writes the parameter gradients there, as `_head_backward` does."""
-    dz2 = dout * (cache_z2 > 0.0)
-    da1 = _matmul(dz2, layers[1].W, per_row)
-    dz1 = da1 * (cache_z1 > 0.0)
-    dx = _matmul(dz1, layers[0].W[:, 0], per_row)
-    if grads is not None:
-        g1, g2 = grads
-        g2.W[:] = dz2.T @ cache_a1
-        g2.b[:] = dz2.sum(axis=0)
-        g1.W[:, 0] = (dz1 * x[:, None]).sum(axis=0)
-        g1.b[:] = dz1.sum(axis=0)
-    return dx
+    dx = []
+    for name, dout in (("enc_cz", denc[:, :e]), ("enc_h", denc[:, e:])):
+        layers, rec = getattr(params, name), cache[name]
+        dz2 = dout * (rec["z2"] > 0.0)
+        da1 = _matmul(dz2, layers[1].W, per_row)
+        dz1 = da1 * (rec["z1"] > 0.0)
+        dx.append(_matmul(dz1, layers[0].W[:, 0], per_row))
+        if grads is not None:
+            g1, g2 = getattr(grads, name)
+            g2.W[:] = dz2.T @ rec["a1"]
+            g2.b[:] = dz2.sum(axis=0)
+            g1.W[:, 0] = (dz1 * rec["x"][:, None]).sum(axis=0)
+            g1.b[:] = dz1.sum(axis=0)
+    return dpooled, dx[0], dx[1]
 
 
 def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray, cfg: PoolConfig,
@@ -229,32 +230,20 @@ def box_grad_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray
     The energies equal `forward_batch`'s bit for bit; `per_row` is as there
     and covers the gradients too."""
     values, cache = forward_batch(params, grid, boxes, cfg, with_box_jac=True, per_row=per_row)
-    b = len(values)
-    dh5 = _head_backward(params, cache, np.ones(b), per_row=per_row)
-    n4 = params.dims.feat_len
-    e = params.dims.enc_dim
-    grad = np.zeros((b, 7))
+    dpooled, dcz, dh = _backward(params, cache, np.ones(len(values)))
+    grad = np.zeros((len(values), 7))
     # pooled part -> (cx, cy, w, l, yaw)
-    grad[:, _BEV] = np.einsum("bn,bnp->bp", dh5[:, :n4], cache["pooled_jac"])
-    grad[:, 2] = _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                               cache["boxes"][:, 2], dh5[:, n4:n4 + e], per_row=per_row)
-    grad[:, 3] = _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                               cache["boxes"][:, 3], dh5[:, n4 + e:], per_row=per_row)
+    grad[:, _BEV] = np.einsum("bn,bnp->bp", dpooled, cache["pooled_jac"])
+    grad[:, 2] = dcz
+    grad[:, 3] = dh
     _check_finite(grad, "box gradient")
     return values, grad
 
 
 def weighted_param_grad(params: EnergyNetParams, cache: dict, coeffs: np.ndarray) -> np.ndarray:
     """sum_b coeffs[b] * d f(box_b) / d theta, flat in checkpoint order."""
-    e = params.dims.enc_dim
     grad = EnergyNetParams(params.dims, np.zeros(params.n_params))
-    # only the encoder inputs of the head lead to parameters
-    denc = _head_backward(params, cache, np.asarray(coeffs, dtype=float),
-                          first_input=params.dims.feat_len, grads=grad.head)
-    _enc_backward(params.enc_cz, cache["cz1"], cache["ca1"], cache["cz2"],
-                  cache["boxes"][:, 2], denc[:, :e], grads=grad.enc_cz)
-    _enc_backward(params.enc_h, cache["hz1"], cache["ha1"], cache["hz2"],
-                  cache["boxes"][:, 3], denc[:, e:], grads=grad.enc_h)
+    _backward(params, cache, np.asarray(coeffs, dtype=float), grads=grad)
     return grad.vector
 
 

@@ -49,6 +49,11 @@ class EvalConfig:
     def __post_init__(self):
         if not self.thresholds or not all(0.0 < t <= 1.0 for t in self.thresholds):
             raise ConfigError(f"IoU thresholds must be in (0, 1], got {self.thresholds}")
+        if not self.modes or not set(self.modes) <= set(MODES):
+            raise ConfigError(f"eval.modes must be one or more of {MODES}, got {self.modes}")
+        levels = ("all", *DIFFICULTY_GATES)
+        if not self.difficulties or not set(self.difficulties) <= set(levels):
+            raise ConfigError(f"eval.difficulties must be one or more of {levels}, got {self.difficulties}")
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,10 @@ class SynthConfig:
             raise ConfigError(f"synth.max_pair_iou must be in (0, 1], got {self.max_pair_iou}")
 
     @property
-    def origin(self) -> float:
-        # grid centered on the world origin
-        return -(self.grid_w - 1) / 2.0 * self.res
-
-    @property
-    def half_extent(self) -> float:
-        return (self.grid_w - 1) / 2.0 * self.res
+    def half_extent(self) -> tuple:
+        """(x, y) distance from the world origin, where the grid is centered,
+        to its outermost cell centers: grid_w cells span x, grid_l span y."""
+        return (self.grid_w - 1) / 2.0 * self.res, (self.grid_l - 1) / 2.0 * self.res
 
 
 @dataclass
@@ -115,8 +112,9 @@ def _mixing_matrix(cfg: SynthConfig) -> np.ndarray:
 def render_features(cfg: SynthConfig, boxes: list[Box3D], rng: np.random.Generator) -> FeatureGrid:
     """Render the feature grid for a set of boxes (noise from `rng`)."""
     w, length, c = cfg.grid_w, cfg.grid_l, cfg.channels
-    xs = cfg.origin + cfg.res * np.arange(w)
-    ys = cfg.origin + cfg.res * np.arange(length)
+    half_x, half_y = cfg.half_extent
+    xs = -half_x + cfg.res * np.arange(w)
+    ys = -half_y + cfg.res * np.arange(length)
     gx = xs[:, None] * np.ones((1, length))
     gy = np.ones((w, 1)) * ys[None, :]
 
@@ -162,13 +160,13 @@ def render_features(cfg: SynthConfig, boxes: list[Box3D], rng: np.random.Generat
         data[:, :, 4:] = base @ _mixing_matrix(cfg).T
     if cfg.feature_noise > 0:
         data += rng.normal(scale=cfg.feature_noise, size=data.shape)
-    return FeatureGrid(data, origin_x=cfg.origin, origin_y=cfg.origin, res=cfg.res)
+    return FeatureGrid(data, origin_x=-half_x, origin_y=-half_y, res=cfg.res)
 
 
 def _place_boxes(cfg: SynthConfig, n: int, rng: np.random.Generator) -> list[Box3D]:
-    lo = -cfg.half_extent + cfg.margin
-    hi = cfg.half_extent - cfg.margin
-    if n > 0 and lo >= hi:
+    bounds = [(-half + cfg.margin, half - cfg.margin) for half in cfg.half_extent]  # x, y
+    (lo_x, hi_x), (lo_y, hi_y) = bounds
+    if n > 0 and any(lo >= hi for lo, hi in bounds):
         raise GenerationError("world extent too small for the placement margin")
     boxes: list[Box3D] = []
     attempts = 0
@@ -179,8 +177,8 @@ def _place_boxes(cfg: SynthConfig, n: int, rng: np.random.Generator) -> list[Box
             raise GenerationError(f"could not place {cfg.cars_min} boxes with pair IoU < {cfg.max_pair_iou}")
         attempts += 1
         cand = Box3D(
-            cx=float(rng.uniform(lo, hi)),
-            cy=float(rng.uniform(lo, hi)),
+            cx=float(rng.uniform(lo_x, hi_x)),
+            cy=float(rng.uniform(lo_y, hi_y)),
             cz=float(rng.normal(cfg.cz_mean, cfg.cz_std)),
             h=float(rng.uniform(*cfg.size_h)),
             w=float(rng.uniform(*cfg.size_w)),

@@ -293,7 +293,7 @@ def fd_safe_instance(rng: np.random.Generator, min_pre=1e-3, min_cell=1e-3):
             continue
         _, cache = forward_batch(params, grid, box[None, :], cfg)
         pre_min = min(
-            np.min(np.abs(cache[k])) for k in ("z1", "z2", "cz1", "cz2", "hz1", "hz2")
+            np.min(np.abs(cache[group][k])) for group in ("head", "enc_cz", "enc_h") for k in ("z1", "z2")
         )
         if pre_min < min_pre:
             continue

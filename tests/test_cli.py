@@ -614,6 +614,37 @@ class TestErrorPaths:
         argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR}, {"000001.txt": KITTI_CAR + " 0.5"})
         fails(capsys, argv, "input", "missing=[0] extra=[1]")
 
+    @pytest.mark.parametrize("where,text,needle", [
+        ("dets", KITTI_CAR + " 0.5\nCar 0 0", "line 2: expected 15 or 16 fields, got 3"),
+        ("gt", KITTI_CAR.replace("46.70", "nan"), "line 1: non-finite number"),
+        # bbox_bottom - bbox_top overflows
+        ("gt", KITTI_CAR.replace("173.33", "-1e308").replace("200.12", "1e308"),
+         "bbox_height must be finite and >= 0, got inf"),
+    ], ids=["malformed-line", "non-finite-field", "bbox-height-overflow"])
+    def test_kitti_input_error_names_the_file(self, tmp_path, capsys, where, text, needle):
+        files = {"gt": KITTI_CAR, "dets": KITTI_CAR + " 0.5", where: text}
+        argv = self.kitti_dirs(tmp_path, {"000000.txt": files["gt"]}, {"000000.txt": files["dets"]})
+        fails(capsys, argv, "input", f"{tmp_path / where / '000000.txt'}: {needle}")
+
+    def test_kitti_file_not_text(self, tmp_path, capsys):
+        argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR}, {"000000.txt": KITTI_CAR + " 0.5"})
+        (tmp_path / "dets" / "000000.txt").write_bytes(b"\xff\xfe not UTF-8\n")  # was a UnicodeDecodeError traceback
+        fails(capsys, argv, "input", f"{tmp_path / 'dets' / '000000.txt'}: ", "can't decode")
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("eval", "eval.modes", "xyz"),  # was error:input: from evaluate
+        ("eval", "eval.modes", ""),  # was a table with no rows
+        ("eval", "eval.difficulties", "easy,foo"),
+        ("eval", "eval.difficulties", ""),
+        ("sweep-T", "sweep.t_values", ""),
+        ("sweep-T", "sweep.t_values", "4,-1"),  # was "steps must be >= 0", naming no key
+    ])
+    def test_eval_and_sweep_keys_checked_as_config(self, tmp_path, capsys, command, key, value):
+        data = tmp_path / "data"
+        TestMalformedInputs.tiny_dataset(data)
+        fails(capsys, [command, "--dataset", str(data), "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--set", f"{key}={value}", "--out", str(tmp_path / "out")], "config", key)
+
     def test_eval_without_ground_truth(self, tmp_path, capsys):
         fails(capsys, ["eval", "--out", str(tmp_path / "out")], "config", "--kitti-gt")
 

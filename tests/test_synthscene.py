@@ -64,14 +64,30 @@ class TestGenScene:
 
     def test_boxes_inside_margin_and_separated(self):
         cfg = replace(TEST_CFG, cars_min=3, cars_max=3)
+        half_x, half_y = cfg.half_extent
         pairs = []
         for sid in range(5):
             scene = gen_scene_by_index(cfg, sid)
             for gt in scene.gts:
-                assert abs(gt.box.cx) <= cfg.half_extent - cfg.margin
-                assert abs(gt.box.cy) <= cfg.half_extent - cfg.margin
+                assert abs(gt.box.cx) <= half_x - cfg.margin
+                assert abs(gt.box.cy) <= half_y - cfg.margin
             pairs += [(a.box, b.box) for i, a in enumerate(scene.gts) for b in scene.gts[i + 1:]]
         assert np.all(pair_iou(*(box_rows(boxes) for boxes in zip(*pairs)), "bev") < cfg.max_pair_iou)
+
+    @pytest.mark.parametrize("grid_w, grid_l", [(128, 48), (48, 128)])
+    def test_non_square_world_keeps_boxes_on_its_grid(self, grid_w, grid_l):
+        cfg = replace(TEST_CFG, grid_w=grid_w, grid_l=grid_l, channels=4, cars_min=3, cars_max=6, seed=3)
+        for sid in range(8):
+            scene = gen_scene_by_index(cfg, sid)
+            grid = scene.grid
+            w, length, _ = grid.data.shape
+            far_x = grid.origin_x + (w - 1) * grid.res  # outermost cell centers
+            far_y = grid.origin_y + (length - 1) * grid.res
+            assert (w, length) == (grid_w, grid_l)
+            assert (grid.origin_x, grid.origin_y) == (-far_x, -far_y)
+            for gt in scene.gts:
+                assert grid.origin_x + cfg.margin <= gt.box.cx <= far_x - cfg.margin
+                assert grid.origin_y + cfg.margin <= gt.box.cy <= far_y - cfg.margin
 
     def test_scores_decrease_with_perturbation(self):
         means = []
@@ -88,6 +104,13 @@ class TestGenScene:
     def test_impossible_placement_raises(self):
         cfg = replace(TEST_CFG, grid_w=16, grid_l=16, cars_min=40, cars_max=40)
         with pytest.raises(GenerationError):
+            gen_scene_by_index(cfg, 0)
+
+    @pytest.mark.parametrize("grid_w, grid_l", [(48, 16), (16, 48)])
+    def test_margin_checked_per_axis(self, grid_w, grid_l):
+        # the narrow axis spans 3.75 m between outer cell centers, under twice the 2 m margin
+        cfg = replace(TEST_CFG, grid_w=grid_w, grid_l=grid_l)
+        with pytest.raises(GenerationError, match="placement margin"):
             gen_scene_by_index(cfg, 0)
 
     def test_crowded_world_keeps_the_boxes_that_fit(self):
