@@ -15,16 +15,19 @@ numeric, generation, io.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, build_run_config, parse_config_file, resolved_line
 from .energynet import heading_scan, init_params, load_checkpoint, save_checkpoint
 from .errors import BoxEbmError, ConfigError, GenerationError, InputError, NumericError
-from .evalkit import GroundTruth, ScoredBox, evaluate, relative_gain
+from .evalkit import RECALL_POSITIONS, det_arrays, evaluate_rows, gt_arrays, relative_gain
 from .geometry import box_rows, pair_iou
-from .kittiio import DONT_CARE, from_box3d, parse_label_file, to_box3d, write_result_file
+from .kittiio import COLUMN, DONT_CARE, from_box3d, parse_label_lines, world_rows, write_result_file
 from .nce import train
 from .refine import refine_scenes, sweep_t
 from .synthscene import FileScenes, gen_scene_by_index, save_dataset, split_indices
@@ -47,7 +50,7 @@ def _write_csv(path: Path, comment: str, header: list[str], rows):
         f.write(f"# {comment}\n")
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def _load_params_checked(checkpoint: Path, cfg: RunConfig, channels: int):
@@ -146,11 +149,19 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _read_kitti_dir(root: Path, convert) -> dict:
-    """`convert(labels)` of each KITTI file under `root`, by scene id in name
-    order. A file's name is its id in decimal digits, and two names for one
-    id are an input error. So is a non-DontCare box of non-positive size;
-    every input error raised while reading a file names that file."""
+_H, _W, _L, _TOP, _BOTTOM, _SCORE = (COLUMN[name] for name in ("h", "w", "l", "bbox_top", "bbox_bottom", "score"))
+
+
+def _read_kitti_dir(root: Path, check, convert) -> dict:
+    """Arrays of each KITTI file under `root`, by scene id in name order.
+
+    A file's name is its id in decimal digits, and two names for one id are
+    an input error. So is a non-DontCare box of non-positive size, or a line
+    that `check(types, values)` rejects. Every input error raised while
+    reading a file names that file. The files' non-DontCare lines are then
+    converted together, `convert(values)` of their values (N, 15), and
+    split into scenes.
+    """
     files = {}
     for path in sorted(Path(root).glob("*.txt")):
         if not (path.stem.isascii() and path.stem.isdigit()):
@@ -159,35 +170,54 @@ def _read_kitti_dir(root: Path, convert) -> dict:
         if sid in files:
             raise InputError(f"{files[sid]} and {path} are both scene {sid}")
         files[sid] = path
-    out = {}
-    for sid, path in files.items():
+    kept, counts = [], []
+    for path in files.values():
         try:
-            labels = parse_label_file(path.read_text())
-            for n, lab in enumerate(labels, start=1):
-                if lab.type != DONT_CARE and not lab.is_evaluable:
-                    raise InputError(f"label {n} has a non-positive dimension (h={lab.h} w={lab.w} l={lab.l})")
-            out[sid] = convert(labels)
+            types, values = parse_label_lines(path.read_text())
+            for n, (kind, v) in enumerate(zip(types, values), start=1):
+                if kind != DONT_CARE and not (v[_H] > 0 and v[_W] > 0 and v[_L] > 0):
+                    raise InputError(f"label {n} has a non-positive dimension (h={v[_H]} w={v[_W]} l={v[_L]})")
+            check(types, values)
         except (InputError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: {exc}") from None
-    return out
+        rows = [v for kind, v in zip(types, values) if kind != DONT_CARE]
+        kept += rows
+        counts.append(len(rows))
+    arrays = convert(np.array(kept, dtype=float).reshape(len(kept), len(COLUMN)))
+    bounds = np.cumsum(counts)[:-1]
+    return dict(zip(files, zip(*(np.split(a, bounds) for a in arrays))))
 
 
-def _ground_truths(labels) -> list:
-    return [GroundTruth(
-        box=to_box3d(lab),
-        bbox_height=lab.bbox_bottom - lab.bbox_top,
-        occlusion=min(max(lab.occluded, 0), 3),
-        truncation=min(max(lab.truncated, 0.0), 1.0),
-    ) for lab in labels if lab.type != DONT_CARE]
+def _check_ground_truths(types, values):
+    """The 2D box height of every label must be finite and >= 0 (a finite,
+    ordered box can still overflow to inf)."""
+    for kind, v in zip(types, values):
+        height = v[_BOTTOM] - v[_TOP]
+        if kind != DONT_CARE and not 0.0 <= height < math.inf:
+            raise InputError(f"bbox_height must be finite and >= 0, got {height}")
 
 
-def _scored_boxes(labels) -> list:
-    rows = []
-    for n, lab in enumerate(labels, start=1):
-        if lab.score is None:
+def _ground_truths(values) -> tuple:
+    """Box rows and difficulty columns of labels; occlusion is clamped to
+    0..3 after truncating toward zero, truncation to [0, 1]."""
+    height = values[:, _BOTTOM] - values[:, _TOP]
+    occlusion = np.clip(np.trunc(values[:, COLUMN["occluded"]]), 0.0, 3.0) + 0.0  # as int() does: no -0.0
+    truncation = np.clip(values[:, COLUMN["truncated"]], 0.0, 1.0)
+    return world_rows(values), np.stack([height, occlusion, truncation], axis=1)
+
+
+def _check_detections(types, values):
+    """Every result line must have a score and must not be DontCare."""
+    for n, (kind, v) in enumerate(zip(types, values), start=1):
+        if math.isnan(v[_SCORE]):
             raise InputError(f"label {n} is a detection without a score")
-        rows.append(ScoredBox(to_box3d(lab), lab.score))
-    return rows
+        if kind == DONT_CARE:
+            raise InputError(f"cannot convert non-evaluable label of type {kind!r}")
+
+
+def _detections(values) -> tuple:
+    """Box rows and scores of result lines."""
+    return world_rows(values), values[:, _SCORE]
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
@@ -202,10 +232,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         gts, initial = {}, {}
         for i in range(len(scenes)):
             scene = scenes[i]
-            gts[scene.id], initial[scene.id] = scene.gts, scene.initial_dets
+            gts[scene.id], initial[scene.id] = gt_arrays(scene.gts), det_arrays(scene.initial_dets)
     else:
         gt_root = Path(args.kitti_gt)
-        gts = _read_kitti_dir(gt_root, _ground_truths)
+        gts = _read_kitti_dir(gt_root, _check_ground_truths, _ground_truths)
         if not gts:
             raise InputError(f"no label files under {gt_root}")
     refined = None
@@ -213,7 +243,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         dets_root = Path(args.dets)
         if (dets_root / _DETS_DIR).exists():  # accept a refine --out directory directly
             dets_root = dets_root / _DETS_DIR
-        refined = _read_kitti_dir(dets_root, _scored_boxes)
+        refined = _read_kitti_dir(dets_root, _check_detections, _detections)
         missing = sorted(set(gts) - set(refined))
         extra = sorted(set(refined) - set(gts))
         if missing or extra:
@@ -222,12 +252,13 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise ConfigError("nothing to evaluate: provide --dets and/or a scene --dataset")
 
     kw = asdict(cfg.eval)
-    res_initial = evaluate(initial, gts, **kw) if initial is not None else None
-    res_refined = evaluate(refined, gts, **kw) if refined is not None else None
+    res_initial = evaluate_rows(initial, gts, **kw) if initial is not None else None
+    res_refined = evaluate_rows(refined, gts, **kw) if refined is not None else None
 
     ap_rows = []
     pr_rows = []
     recalls_header = [x for i in range(1, 41) for x in (f"recall_{i:02d}", f"precision_{i:02d}")]
+    recall_text = [str(r) for r in RECALL_POSITIONS.tolist()]  # every curve's recall column, formatted once
     for mode in cfg.eval.modes:
         for thr in cfg.eval.thresholds:
             for diff in cfg.eval.difficulties:
@@ -239,7 +270,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                 for source, res in (("initial", res_initial), ("refined", res_refined)):
                     if res is None:
                         continue
-                    flat = [x for r, p in res[key].pr_curve for x in (r, p)]
+                    flat = [x for r, (_, p) in zip(recall_text, res[key].pr_curve) for x in (r, p)]
                     pr_rows.append((mode, thr, diff, source, res[key].ap, *flat))
     _write_csv(out / "ap.csv", resolved_line(cfg),
                ["mode", "threshold", "difficulty", "ap_initial", "ap_refined", "rel_improvement"],

@@ -124,8 +124,12 @@ def _parse_keyed(key: str, text: str, like):
 
 def parse_config_file(path) -> dict:
     """Flat {key: raw text value} from a key-value file."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

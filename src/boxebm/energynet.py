@@ -29,6 +29,12 @@ CHECKPOINT_VERSION = 1
 _CHECKPOINT_HEADER = struct.Struct("<8s2I")  # magic, version, tensor count
 
 
+def _entry_format(name_len: int, ndim: int) -> str:
+    """`struct` format of one tensor table entry: name length, UTF-8 name,
+    dimension count, dimensions."""
+    return f"<H{name_len}sB{ndim}I"
+
+
 @dataclass(frozen=True)
 class EnergyNetDims:
     """Layer sizing. feat_len must equal grid_w * grid_l * channels."""
@@ -266,7 +272,7 @@ def save_checkpoint(params: EnergyNetParams, path):
         f.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(table)))
         for name, shape in table:
             enc = name.encode()
-            f.write(struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape))
+            f.write(struct.pack(_entry_format(len(enc), len(shape)), len(enc), enc, len(shape), *shape))
         f.write(params.vector.astype("<f8").tobytes())
 
 
@@ -284,12 +290,13 @@ def load_checkpoint(path) -> EnergyNetParams:
         pos = _CHECKPOINT_HEADER.size
         table = []
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<H", raw, pos)
-            name = raw[pos + 2:pos + 2 + name_len].decode()
-            pos += 2 + name_len
-            (ndim,) = struct.unpack_from("<B", raw, pos)
-            table.append((name, struct.unpack_from(f"<{ndim}I", raw, pos + 1)))
-            pos += 1 + 4 * ndim
+            # each read of the entry widens its format by the count just read
+            name_len = struct.unpack_from(_entry_format(0, 0), raw, pos)[0]
+            ndim = struct.unpack_from(_entry_format(name_len, 0), raw, pos)[2]
+            fmt = _entry_format(name_len, ndim)
+            _, name, _, *shape = struct.unpack_from(fmt, raw, pos)
+            table.append((name.decode(), tuple(shape)))
+            pos += struct.calcsize(fmt)
         shapes = dict(table)
         (enc_dim, _), (h1, in_len), (h2, _) = shapes["enc_cz.0.W"], shapes["head.0.W"], shapes["head.1.W"]
     except (struct.error, ValueError, KeyError) as exc:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import Box3D, box_rows, pair_iou
+from .geometry import Box3D, box_rows, pair_ious
 
 RECALL_POSITIONS = np.arange(1, 41) / 40.0
 
@@ -36,7 +35,7 @@ MODES = ("3d", "bev")
 TP, FP, IGNORED = 1, 0, -1
 
 # padded (detection, ground truth) slots per matching pass, which makes one
-# `pair_iou` call: bounds the temporaries of both
+# `pair_ious` call: bounds the temporaries of both
 PAIR_BLOCK = 1 << 15
 
 
@@ -75,27 +74,28 @@ class GroundTruth:
     def has_difficulty_meta(self) -> bool:
         return self.bbox_height is not None and self.occlusion is not None and self.truncation is not None
 
-    def passes(self, difficulty: str | None) -> bool:
-        """Whether this ground truth counts at the given difficulty level.
+    @property
+    def meta(self) -> tuple:
+        """Difficulty columns (bbox height, occlusion, truncation), NaN where unknown."""
+        return tuple(math.nan if v is None else float(v) for v in (self.bbox_height, self.occlusion, self.truncation))
 
-        Without metadata nothing is filtered (synthetic scenes).
-        """
+
+def difficulty_mask(meta: np.ndarray, difficulties) -> np.ndarray:
+    """Which of G ground truths count at each of K difficulty levels (K, G),
+    from their difficulty columns meta (G, 3): 2D box height, occlusion and
+    truncation. A row with a NaN (no metadata: synthetic scenes) counts at
+    every level."""
+    height, occlusion, truncation = meta.T
+    out = np.ones((len(difficulties), len(meta)), dtype=bool)
+    unknown = np.isnan(meta).any(axis=1)
+    for k, difficulty in enumerate(difficulties):
         if difficulty in (None, "", "all"):
-            return True
+            continue
         if difficulty not in DIFFICULTY_GATES:
             raise InputError(f"unknown difficulty {difficulty!r}")
-        if not self.has_difficulty_meta:
-            return True
         min_h, max_occ, max_trunc = DIFFICULTY_GATES[difficulty]
-        return self.bbox_height >= min_h and self.occlusion <= max_occ and self.truncation <= max_trunc
-
-
-class ScoredBox(NamedTuple):
-    """A detection as evaluation sees it: AP depends only on the order of
-    scores, so any finite score is accepted."""
-
-    box: Box3D
-    score: float
+        out[k] = unknown | ((height >= min_h) & (occlusion <= max_occ) & (truncation <= max_trunc))
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,33 +150,62 @@ def _match_scenes(scores: np.ndarray, iou: np.ndarray, thresholds, valid: np.nda
     return labels
 
 
+def _interp_precisions(scores: np.ndarray, tp: np.ndarray, kept: np.ndarray, num_gt: np.ndarray) -> np.ndarray:
+    """Interpolated precisions (C, 40) at the recall positions of C columns
+    over one pool of N detections with scores (N,): tp and kept (C, N) mark
+    each column's true positives and its counted (not ignored) detections,
+    num_gt (C,) its ground-truth count.
+
+    One stable score sort serves every column: restricted to a column's
+    kept detections it is the stable sort of their scores.
+    """
+    if (num_gt < 1).any():
+        raise InputError("average precision undefined without ground truths")
+    out = np.zeros((len(tp), len(RECALL_POSITIONS)))
+    if not len(scores):
+        return out
+    order = np.argsort(-scores, kind="stable")
+    s, tp, kept = scores[order], tp[:, order], kept[:, order]
+    tp_cum, k = np.cumsum(tp, axis=1), np.cumsum(kept, axis=1)
+    # operating points come from sweeping the score threshold, so a group of
+    # tied scores enters or leaves as one unit: a column's operating points
+    # are its last kept detection of each tie group
+    group_last = np.flatnonzero(np.append(s[:-1] != s[1:], True))
+    group_end = np.repeat(group_last, np.diff(group_last, prepend=-1))
+    point = kept & (k == k[:, group_end])
+    precision = np.zeros(tp_cum.shape)
+    np.divide(tp_cum, k, out=precision, where=point)
+    # interpolated precision at r: the best precision at any operating point
+    # whose recall tp_cum / num_gt is >= r (up to rounding); recall never
+    # decreases, so that is a suffix maximum from the first detection that
+    # reaches r, the need-th true positive
+    best_from = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    need = np.zeros(out.shape, dtype=int)
+    for n in np.unique(num_gt).tolist():
+        need[num_gt == n] = np.searchsorted(np.arange(n + 1) / n, RECALL_POSITIONS - 1e-12, side="left")
+    at = np.nonzero(tp)[1]  # positions of each column's true positives, column by column
+    n_tp = tp_cum[:, -1]
+    reached = need <= n_tp[:, None]
+    c, r = np.nonzero(reached)
+    out[c, r] = best_from[c, at[(np.cumsum(n_tp) - n_tp)[c] + need[c, r] - 1]]
+    return out
+
+
+def _ap_result(interp: list, num_gt: int) -> APResult:
+    """The AP of one column's interpolated precisions, summed exactly."""
+    return APResult(ap=math.fsum(interp) / len(RECALL_POSITIONS),
+                    pr_curve=list(zip(RECALL_POSITIONS.tolist(), interp)), num_gt=num_gt)
+
+
 def average_precision(tp_flags, scores, num_gt: int) -> APResult:
-    """Interpolated AP over the fixed recall positions.
+    """Interpolated AP over the fixed recall positions: one column of
+    `_interp_precisions`.
 
     tp_flags/scores describe the pooled non-ignored detections.
     """
-    if num_gt < 1:
-        raise InputError("average precision undefined without ground truths")
-    tp_flags = np.asarray(tp_flags, dtype=bool)
-    scores = np.asarray(scores, dtype=float)
-    order = np.argsort(-scores, kind="stable")
-    tp_cum = np.cumsum(tp_flags[order])
-    k = np.arange(1, len(order) + 1)
-    # operating points come from sweeping the score threshold, so a group of
-    # tied scores enters or leaves as one unit (last index of each tie group)
-    s = scores[order]
-    if len(s):
-        boundary = np.append(s[:-1] != s[1:], True)
-        tp_cum, k = tp_cum[boundary], k[boundary]
-    recalls = tp_cum / num_gt
-    precisions = tp_cum / k
-    # interpolated precision at r: the best precision at any recall >= r
-    # (up to rounding); recall never decreases, so that is a suffix maximum
-    best_from = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
-    interp = best_from[np.searchsorted(recalls, RECALL_POSITIONS - 1e-12, side="left")]
-    ap = math.fsum(interp.tolist()) / len(RECALL_POSITIONS)
-    curve = list(zip(RECALL_POSITIONS.tolist(), interp.tolist()))
-    return APResult(ap=ap, pr_curve=curve, num_gt=num_gt)
+    tp = np.asarray(tp_flags, dtype=bool).reshape(1, -1)
+    interp = _interp_precisions(np.asarray(scores, dtype=float), tp, np.ones_like(tp), np.array([num_gt]))
+    return _ap_result(interp[0].tolist(), num_gt)
 
 
 def relative_gain(initial: float, refined: float) -> float:
@@ -187,11 +216,13 @@ def relative_gain(initial: float, refined: float) -> float:
     return (refined - initial) / initial
 
 
-def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
-             thresholds=EvalConfig.thresholds, difficulties=EvalConfig.difficulties) -> dict:
-    """Pooled AP per (mode, threshold, difficulty) across aligned scenes.
+def evaluate_rows(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
+                  thresholds=EvalConfig.thresholds, difficulties=EvalConfig.difficulties) -> dict:
+    """Pooled AP per (mode, threshold, difficulty) across aligned scenes, from arrays.
 
-    Detections have `.box` and a finite `.score` (`ScoredBox`, `Detection`).
+    dets_by_scene maps a scene id to detection box rows (D, 7) and finite
+    scores (D,); gts_by_scene maps it to ground-truth box rows (G, 7) and
+    difficulty columns (G, 3) (see `difficulty_mask`).
     Returns {(mode, threshold, difficulty): APResult}.
     """
     missing = sorted(set(dets_by_scene) - set(gts_by_scene))
@@ -201,23 +232,21 @@ def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
         if mode not in MODES:
             raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
     sids = sorted(gts_by_scene)
-    dets = [dets_by_scene.get(sid, []) for sid in sids]
+    dets = [dets_by_scene.get(sid, (np.zeros((0, 7)), np.zeros(0))) for sid in sids]
     gts = [gts_by_scene[sid] for sid in sids]
     # pooled in scene id, then input order
-    flat_dets = [d for scene in dets for d in scene]
-    flat_gts = [gt for scene in gts for gt in scene]
-    det_rows, gt_rows = box_rows([d.box for d in flat_dets]), box_rows([gt.box for gt in flat_gts])
-    pooled_scores = np.array([d.score for d in flat_dets], dtype=float)
-    valid = np.array([[gt.passes(diff) for gt in flat_gts] for diff in difficulties],
-                     dtype=bool).reshape(len(difficulties), len(flat_gts))  # (K, pooled ground truths)
-    num_gt = valid.sum(axis=1)
+    det_rows = np.concatenate([np.zeros((0, 7)), *(rows for rows, _ in dets)])
+    pooled_scores = np.concatenate([np.zeros(0), *(scores for _, scores in dets)])
+    gt_rows = np.concatenate([np.zeros((0, 7)), *(rows for rows, _ in gts)])
+    meta = np.concatenate([np.zeros((0, 3)), *(meta for _, meta in gts)])
+    valid = difficulty_mask(meta, difficulties)  # (K, pooled ground truths)
     # Scenes with detections, grouped by the bit lengths of their detection
     # and ground-truth counts, so that padding a group to its longest scene
     # at most doubles either count; then split into passes of at most
     # PAIR_BLOCK padded pairs (or one scene). Work and memory follow the
     # scenes' sizes, not the largest scene's.
-    n_det = np.array([len(scene) for scene in dets], dtype=int)
-    n_gt = np.array([len(scene) for scene in gts], dtype=int)
+    n_det = np.array([len(s) for _, s in dets], dtype=int)
+    n_gt = np.array([len(rows) for rows, _ in gts], dtype=int)
     groups = {}
     for s in np.flatnonzero(n_det).tolist():
         groups.setdefault((int(n_det[s]).bit_length(), int(n_gt[s]).bit_length()), []).append(s)
@@ -225,26 +254,46 @@ def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
     for members in groups.values():
         step = max(1, PAIR_BLOCK // (n_det[members].max() * max(n_gt[members].max(), 1)))
         passes += [members[k:k + step] for k in range(0, len(members), step)]
-    results = {}
-    for mode in modes:
-        labels = np.full((len(flat_dets), len(difficulties), len(thresholds)), FP, dtype=int)
-        for members in passes:
-            # pooled indices (M, D) and (M, G), padded with -1; IoUs (M, D, G)
-            # of the pairs in one kernel call, padded with NaN, which clears
-            # no threshold
-            det_ix, gt_ix = _padded_index(n_det, members), _padded_index(n_gt, members)
-            has_det = det_ix >= 0
-            pairs = has_det[:, :, None] & (gt_ix[:, None, :] >= 0)
-            iou = np.full(pairs.shape, np.nan)
-            iou[pairs] = pair_iou(det_rows[np.broadcast_to(det_ix[:, :, None], pairs.shape)[pairs]],
-                                  gt_rows[np.broadcast_to(gt_ix[:, None, :], pairs.shape)[pairs]], mode)
-            scores = np.where(has_det, pooled_scores[det_ix], 0.0)
-            pass_valid = (valid[:, gt_ix] & (gt_ix >= 0)).transpose(1, 0, 2)
-            labels[det_ix[has_det]] = _match_scenes(scores, iou, thresholds, pass_valid)[has_det]
-        labels = labels.transpose(1, 2, 0)  # (K, T, pooled detections)
-        for k, difficulty in enumerate(difficulties):
-            for t, thr in enumerate(thresholds):
-                keep = labels[k, t] != IGNORED
-                results[(mode, thr, difficulty)] = average_precision(
-                    labels[k, t, keep] == TP, pooled_scores[keep], int(num_gt[k]))
-    return results
+    n_modes = len(modes)
+    labels = np.full((n_modes, len(det_rows), len(difficulties), len(thresholds)), FP, dtype=int)
+    for members in passes:
+        # pooled indices (M, D) and (M, G), padded with -1; IoUs (modes, M, D, G)
+        # of the pairs in one kernel call, padded with NaN, which clears no
+        # threshold
+        det_ix, gt_ix = _padded_index(n_det, members), _padded_index(n_gt, members)
+        has_det = det_ix >= 0
+        pairs = has_det[:, :, None] & (gt_ix[:, None, :] >= 0)
+        iou = np.full((n_modes, *pairs.shape), np.nan)
+        iou[:, pairs] = pair_ious(det_rows[np.broadcast_to(det_ix[:, :, None], pairs.shape)[pairs]],
+                                  gt_rows[np.broadcast_to(gt_ix[:, None, :], pairs.shape)[pairs]], modes)
+        scores = np.where(has_det, pooled_scores[det_ix], 0.0)
+        pass_valid = (valid[:, gt_ix] & (gt_ix >= 0)).transpose(1, 0, 2)
+        # every mode's scenes match in one rank loop, as scenes of their own
+        got = _match_scenes(np.tile(scores, (n_modes, 1)), iou.reshape(n_modes * len(members), *pairs.shape[1:]),
+                            thresholds, np.tile(pass_valid, (n_modes, 1, 1)))
+        labels[:, det_ix[has_det]] = got.reshape(n_modes, *has_det.shape, *got.shape[2:])[:, has_det]
+    # one column per (mode, difficulty, threshold) over the pooled detections
+    columns = labels.transpose(0, 2, 3, 1).reshape(n_modes * len(difficulties) * len(thresholds), len(det_rows))
+    num_gt = np.tile(np.repeat(valid.sum(axis=1), len(thresholds)), n_modes)
+    interp = _interp_precisions(pooled_scores, columns == TP, columns != IGNORED, num_gt).tolist()
+    keys = [(mode, thr, difficulty) for mode in modes for difficulty in difficulties for thr in thresholds]
+    return {key: _ap_result(row, int(n)) for key, row, n in zip(keys, interp, num_gt)}
+
+
+def evaluate(dets_by_scene: dict, gts_by_scene: dict, modes=EvalConfig.modes,
+             thresholds=EvalConfig.thresholds, difficulties=EvalConfig.difficulties) -> dict:
+    """`evaluate_rows` on scenes of objects: detections with `.box` and a
+    finite `.score` (such as `Detection`) and `GroundTruth`s."""
+    return evaluate_rows({sid: det_arrays(dets) for sid, dets in dets_by_scene.items()},
+                         {sid: gt_arrays(gts) for sid, gts in gts_by_scene.items()},
+                         modes, thresholds, difficulties)
+
+
+def det_arrays(dets) -> tuple:
+    """Box rows (D, 7) and scores (D,) of detections."""
+    return box_rows([d.box for d in dets]), np.array([d.score for d in dets], dtype=float)
+
+
+def gt_arrays(gts) -> tuple:
+    """Box rows (G, 7) and difficulty columns (G, 3) of `GroundTruth`s."""
+    return box_rows([gt.box for gt in gts]), np.array([gt.meta for gt in gts], dtype=float).reshape(len(gts), 3)

@@ -21,7 +21,7 @@ import numpy as np
 # drops a sliver of about that gap times the polygon's width.
 VERTEX_MERGE_EPS = 1e-12
 AREA_EPS = 1e-12
-# Relative slack of the far-pair test in `pair_iou`.
+# Relative slack of the far-pair test in `pair_ious`.
 FAR_SLACK = 1e-9
 
 
@@ -165,50 +165,72 @@ def _near(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
     return near
 
 
-def _clipped_iou(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """IoU of `_near` pairs of box rows by clipping, each pair in canonical
-    order: the row with the smaller key (the whole row, or in BEV the BEV
-    row) is the subject, so swapping a and b changes no bit."""
-    key_a, key_b = (a, b) if mode == "3d" else (a[:, _BEV], b[:, _BEV])
+def _swap(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
+    """Whether each pair's b key (P, k) is the smaller, compared column by
+    column: the canonical order clips the row with the smaller key."""
     first = (key_a != key_b).argmax(axis=1)  # first differing column, 0 for equal keys
-    every = np.arange(len(a))
-    swap = (key_a[every, first] > key_b[every, first])[:, None]
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    if mode == "3d":
-        bottom_a, top_a = a[:, 2] - a[:, 3] / 2.0, a[:, 2] + a[:, 3] / 2.0
-        bottom_b, top_b = b[:, 2] - b[:, 3] / 2.0, b[:, 2] + b[:, 3] / 2.0
-    else:
-        # a BEV box spans unit height, so the heights and the overlap are
-        # exactly 1.0 and every product with them is exact: the 3D formula
-        # then gives the BEV IoU
-        bottom_a = bottom_b = np.zeros(len(a))
-        top_a = top_b = np.ones(len(a))
-    corners = _corners(np.concatenate([a[:, _BEV], b[:, _BEV]]))
-    area = _areas(*_clip(corners[:len(a)], corners[len(a):]))
-    overlap = np.minimum(top_a, top_b) - np.maximum(bottom_a, bottom_b)
-    inter = area * overlap
-    base = _areas(corners, np.full(len(corners), 4))
-    vol_a = base[:len(a)] * (top_a - bottom_a)
-    vol_b = base[len(a):] * (top_b - bottom_b)
-    return np.where(area >= AREA_EPS, inter / (vol_a + vol_b - inter), 0.0)
+    every = np.arange(len(key_a))
+    return key_a[every, first] > key_b[every, first]
 
 
-def pair_iou(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """IoU (P,) of the pairs of box rows a[p], b[p] (P, 7), rows in the order
-    (cx, cy, cz, h, w, l, yaw): 3D IoU (mode "3d") or the IoU of the BEV
-    projections (mode "bev").
+def _inter_areas(corners_a: np.ndarray, corners_b: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """Intersection areas (P,) of pairs of corner sets (P, 4, 2), each clipped
+    with b as the subject where `swap`, else with a."""
+    swap = swap[:, None, None]
+    return _areas(*_clip(np.where(swap, corners_b, corners_a), np.where(swap, corners_a, corners_b)))
+
+
+def pair_ious(a: np.ndarray, b: np.ndarray, modes=("3d", "bev")) -> np.ndarray:
+    """IoUs (len(modes), P) of the pairs of box rows a[p], b[p] (P, 7), rows
+    in the order (cx, cy, cz, h, w, l, yaw): 3D IoU (mode "3d") or the IoU of
+    the BEV projections (mode "bev").
 
     Pairs whose circumscribed circles are apart, or (3D) whose vertical
     extents do not overlap, are 0 without clipping; all others are clipped
-    together in one batch. Rows must be finite.
+    together in one batch, once for every mode. Each mode clips a pair in
+    its canonical order: the row with the smaller key (the whole row, or in
+    BEV the BEV row) is the subject, so swapping a and b changes no bit. The
+    two keys order a pair differently only if its rows share (cx, cy); the
+    3D IoU clips such pairs again. Rows must be finite.
     """
-    if mode not in ("3d", "bev"):
-        raise ValueError(f"unknown IoU mode {mode!r}")
-    out = np.zeros(len(a))
-    near = np.flatnonzero(_near(a, b, mode))
-    if near.size:
-        out[near] = _clipped_iou(a[near], b[near], mode)
+    for mode in modes:
+        if mode not in ("3d", "bev"):
+            raise ValueError(f"unknown IoU mode {mode!r}")
+    out = np.zeros((len(modes), len(a)))
+    near = np.flatnonzero(_near(a, b, "bev" if "bev" in modes else "3d"))
+    if not near.size:
+        return out
+    a, b = a[near], b[near]
+    corners = _corners(np.concatenate([a[:, _BEV], b[:, _BEV]]))
+    corners_a, corners_b = corners[:len(a)], corners[len(a):]
+    base = _areas(corners, np.full(len(corners), 4))
+    base_a, base_b = base[:len(a)], base[len(a):]
+    swap = _swap(a[:, _BEV], b[:, _BEV]) if "bev" in modes else _swap(a, b)
+    area = _inter_areas(corners_a, corners_b, swap)
+    for i, mode in enumerate(modes):
+        if mode == "bev":
+            # a BEV box spans unit height, so the 3D formula below gives the
+            # BEV IoU with every product by a height or overlap of exactly 1.0
+            out[i, near] = np.where(area >= AREA_EPS, area / (base_a + base_b - area), 0.0)
+            continue
+        bottom_a, top_a = a[:, 2] - a[:, 3] / 2.0, a[:, 2] + a[:, 3] / 2.0
+        bottom_b, top_b = b[:, 2] - b[:, 3] / 2.0, b[:, 2] + b[:, 3] / 2.0
+        overlap = np.minimum(top_a, top_b) - np.maximum(bottom_a, bottom_b)
+        rows = np.flatnonzero(overlap > 0.0)  # the 3D-near pairs
+        swap_3d = _swap(a[rows], b[rows])
+        area_3d = area[rows]
+        redo = np.flatnonzero(swap_3d != swap[rows])
+        area_3d[redo] = _inter_areas(corners_a[rows[redo]], corners_b[rows[redo]], swap_3d[redo])
+        inter = area_3d * overlap[rows]
+        vol_a = base_a[rows] * (top_a[rows] - bottom_a[rows])
+        vol_b = base_b[rows] * (top_b[rows] - bottom_b[rows])
+        out[i, near[rows]] = np.where(area_3d >= AREA_EPS, inter / (vol_a + vol_b - inter), 0.0)
     return out
+
+
+def pair_iou(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """IoU (P,) of the pairs of box rows a[p], b[p] in one mode: `pair_ious`."""
+    return pair_ious(a, b, (mode,))[0]
 
 
 def box_rows(boxes) -> np.ndarray:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import InputError, ParseError
 from .geometry import Box3D
 
@@ -24,7 +26,7 @@ DONT_CARE = "DontCare"
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap to [-pi, pi)."""
+    """Wrap to [-pi, pi); elementwise on arrays, rounded the same."""
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
@@ -61,28 +63,48 @@ class KittiLabel:
 
 N_RESULT_FIELDS = len(fields(KittiLabel))
 N_LABEL_FIELDS = N_RESULT_FIELDS - 1  # no score
+# index of each numeric field in the values of a line (`parse_label_lines`)
+COLUMN = {f.name: i for i, f in enumerate(fields(KittiLabel)[1:])}
+_LEFT, _TOP, _RIGHT, _BOTTOM = (COLUMN[f"bbox_{side}"] for side in ("left", "top", "right", "bottom"))
 
 
-def parse_label_file(text: str) -> list[KittiLabel]:
-    """Parse label (15-field) or result (16-field) lines."""
-    labels = []
+def parse_label_lines(text: str) -> tuple[list, list]:
+    """Types and numeric values of label (15-field) or result (16-field)
+    lines, in file order: one list of N_RESULT_FIELDS - 1 floats per line,
+    indexed by `COLUMN`, whose score is NaN on a label line."""
+    types, values = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) not in (N_LABEL_FIELDS, N_RESULT_FIELDS):
             raise ParseError(f"expected {N_LABEL_FIELDS} or {N_RESULT_FIELDS} fields, got {len(tokens)}", line=lineno)
         try:
-            nums = [float(t) for t in tokens[1:]]
+            nums = list(map(float, tokens[1:]))
         except ValueError as exc:
             raise ParseError(f"unparsable number: {exc}", line=lineno) from None
         if not all(map(math.isfinite, nums)):
             raise ParseError("non-finite number", line=lineno)
-        label = KittiLabel(tokens[0], nums[0], int(nums[1]), *nums[2:])
-        if label.bbox_right < label.bbox_left or label.bbox_bottom < label.bbox_top:
+        if nums[_RIGHT] < nums[_LEFT] or nums[_BOTTOM] < nums[_TOP]:
             raise ParseError("2D bbox has right < left or bottom < top", line=lineno)
-        labels.append(label)
-    return labels
+        if len(tokens) == N_LABEL_FIELDS:
+            nums.append(math.nan)
+        types.append(tokens[0])
+        values.append(nums)
+    return types, values
+
+
+def parse_label_file(text: str) -> list[KittiLabel]:
+    """Parse label (15-field) or result (16-field) lines into `KittiLabel`s."""
+    return [KittiLabel(kind, v[0], int(v[1]), *v[2:-1], None if math.isnan(v[-1]) else v[-1])
+            for kind, v in zip(*parse_label_lines(text))]
+
+
+def world_rows(values: np.ndarray) -> np.ndarray:
+    """World-frame box rows (N, 7) of lines' values (N, N_RESULT_FIELDS - 1)
+    (`parse_label_lines`): `to_box3d` of every line, rounded the same."""
+    h, w, l, x, y, z, rotation_y = (values[:, COLUMN[name]] for name in ("h", "w", "l", "x", "y", "z", "rotation_y"))
+    return np.stack([z, -x, -y + h / 2.0, h, w, l, wrap_angle(-rotation_y - math.pi / 2.0)], axis=1)
 
 
 def to_box3d(label: KittiLabel) -> Box3D:

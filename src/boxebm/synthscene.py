@@ -332,8 +332,12 @@ def read_manifest(dataset_dir) -> list[ManifestEntry]:
     path = Path(dataset_dir) / "manifest.txt"
     if not path.exists():
         raise InputError(f"no manifest.txt under {dataset_dir}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

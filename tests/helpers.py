@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own computation paths:
 inside-box tests work in box-local coordinates, areas come from sampling,
-and the exact references (`reference_iou`, `reference_match_scene`) are the
-scalar pair clip and the per-scene matcher that the batched kernels
-replaced, kept verbatim so the kernels can be checked bit for bit. The
-clip's vertex merge distance, the one deliberate change, is a parameter.
+and the exact references (`reference_iou`, `reference_match_scene`,
+`reference_average_precision`) are the scalar pair clip, the per-scene
+matcher and the per-column AP that the batched kernels replaced, kept
+verbatim so the kernels can be checked bit for bit. The clip's vertex
+merge distance, the one deliberate change, is a parameter.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from boxebm.evalkit import FP, IGNORED, TP
+from boxebm.evalkit import FP, IGNORED, RECALL_POSITIONS, TP
 from boxebm.geometry import _BEV, AREA_EPS, Box3D
 
 # Clipped vertices closer than this in both coordinates are merged: the
@@ -175,6 +176,25 @@ def reference_match_scene(scores: np.ndarray, iou: np.ndarray, thresholds, valid
         taken[ks, ts, best[ks, ts]] = True
         labels[..., di] = np.where(has_valid, TP, np.where(found, IGNORED, FP))
     return labels
+
+
+def reference_average_precision(tp_flags, scores, num_gt: int) -> tuple:
+    """(AP, 40 interpolated precisions) of one column of pooled non-ignored
+    detections, sorted on their own."""
+    tp_flags = np.asarray(tp_flags, dtype=bool)
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    tp_cum = np.cumsum(tp_flags[order])
+    k = np.arange(1, len(order) + 1)
+    s = scores[order]
+    if len(s):
+        boundary = np.append(s[:-1] != s[1:], True)
+        tp_cum, k = tp_cum[boundary], k[boundary]
+    recalls = tp_cum / num_gt
+    precisions = tp_cum / k
+    best_from = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+    interp = best_from[np.searchsorted(recalls, RECALL_POSITIONS - 1e-12, side="left")]
+    return math.fsum(interp.tolist()) / len(RECALL_POSITIONS), interp.tolist()
 
 
 def reference_pool_jacobian(grid, boxes: np.ndarray, cfg) -> np.ndarray:

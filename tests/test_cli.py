@@ -352,6 +352,45 @@ class TestEvalKittiInputs:
         _, rows = read_csv(tmp_path / "out" / "ap.csv")
         assert all(float(r[4]) == 1.0 for r in rows)
 
+    def test_text_to_rows_equals_labels(self, tmp_path):
+        # the array reader gives, bit for bit, the boxes of `to_box3d` and
+        # the difficulty columns `GroundTruth`s were built with, with
+        # rotation_y at and next to the yaw wrap boundaries (yaw = -pi)
+        from boxebm import cli
+        from boxebm.evalkit import GroundTruth
+        from boxebm.geometry import box_rows
+        from boxebm.kittiio import parse_label_file, to_box3d
+
+        half_pi = math.pi / 2
+        rotations = [half_pi, math.nextafter(half_pi, 0.0), math.nextafter(half_pi, 4.0), -3 * half_pi,
+                     math.nextafter(-3 * half_pi, 0.0), 5 * half_pi, -half_pi, math.pi, -math.pi, 0.0, -0.0, 1e6]
+        # occlusion 1e300, -4 and 2.7 truncate and clamp to 3, 0 and 2
+        occlusions = ["1e300", "-4", "2.7", "-0", "1", "-0.5"]
+        truncations = [-0.5, 1.5, 0.3, 0.0, -0.0, 1.0]
+        lines = []
+        for k, ry in enumerate(rotations):
+            occ, trunc = occlusions[k % len(occlusions)], truncations[k % len(truncations)]
+            lines.append(f"Car {trunc!r} {occ} 0.1 10 {20.5 + k} 30 {60.25 + 3 * k} 1.5 1.6 {3.9 + k / 7!r} "
+                         f"{k - 5.3!r} {1.7 + k / 3!r} {20 + k / 11!r} {ry!r}")
+            if k % 4 == 1:
+                lines.append("DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10")
+        for name, text in (("gt", "\n".join(lines)), ("dets", "\n".join(f"{line} {0.25 * k!r}" for k, line in
+                                                                    enumerate(lines) if "DontCare" not in line))):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "000003.txt").write_text(text + "\n")
+        labels = [lab for lab in parse_label_file((tmp_path / "gt" / "000003.txt").read_text()) if lab.type == "Car"]
+        expect = [GroundTruth(to_box3d(lab), bbox_height=lab.bbox_bottom - lab.bbox_top,
+                              occlusion=min(max(lab.occluded, 0), 3), truncation=min(max(lab.truncated, 0.0), 1.0))
+                  for lab in labels]
+        rows, meta = cli._read_kitti_dir(tmp_path / "gt", cli._check_ground_truths, cli._ground_truths)[3]
+        assert rows.tobytes() == box_rows([gt.box for gt in expect]).tobytes()
+        assert meta.tobytes() == np.array([gt.meta for gt in expect]).tobytes()
+        assert meta[:6, 1].tolist() == [3.0, 0.0, 2.0, 0.0, 1.0, 0.0]
+        assert -math.pi in rows[:, 6].tolist()
+        rows, scores = cli._read_kitti_dir(tmp_path / "dets", cli._check_detections, cli._detections)[3]
+        assert rows.tobytes() == box_rows([to_box3d(lab) for lab in labels]).tobytes()
+        assert scores.tolist() == [0.25 * k for k in range(len(lines)) if "DontCare" not in lines[k]]
+
     def test_scene_file_non_positive_dimension(self, tmp_path, capsys):
         import struct
 
@@ -677,6 +716,11 @@ class TestErrorPaths:
         fails(capsys, ["synth-gen", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)],
               "config", "line 3")
 
+    def test_config_file_not_text(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_bytes(b"seed = 3\n\xff\xfe\n")  # was a UnicodeDecodeError traceback
+        fails(capsys, ["synth-gen", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)],
+              "config", f"{tmp_path / 'run.cfg'}: ", "can't decode")
+
     def test_key_without_group(self, tmp_path, capsys):
         fails(capsys, ["synth-gen", "--set", "nope=1", "--out", str(tmp_path)], "config", "'nope'")
 
@@ -703,6 +747,13 @@ class TestErrorPaths:
         (data / "manifest.txt").write_text("000000 val\n")
         fails(capsys, ["eval", "--dataset", str(data), "--out", str(tmp_path / "out")],
               "input", "manifest line 1")
+
+    def test_manifest_not_text(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        TestMalformedInputs.tiny_dataset(data)
+        (data / "manifest.txt").write_bytes(b"\xff\xfe not UTF-8\n")  # was a UnicodeDecodeError traceback
+        fails(capsys, ["eval", "--dataset", str(data), "--out", str(tmp_path / "out")],
+              "input", f"{data / 'manifest.txt'}: ", "can't decode")
 
     @pytest.mark.parametrize("field,value", [
         ("occlusion", math.inf),  # was an OverflowError traceback

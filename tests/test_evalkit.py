@@ -15,13 +15,15 @@ from boxebm.evalkit import (
     DIFFICULTY_GATES,
     GroundTruth,
     average_precision,
+    difficulty_mask,
     evaluate,
+    gt_arrays,
     relative_gain,
 )
-from boxebm.evalkit import _match_scenes
+from boxebm.evalkit import _interp_precisions, _match_scenes
 from boxebm.geometry import Box3D, box_rows, iou_3d, iou_matrix, pair_iou
 from boxebm.refine import Detection
-from helpers import reference_match_scene
+from helpers import reference_average_precision, reference_match_scene
 
 
 def car_at(cx, cy, yaw=0.0, cz=0.8, h=1.6, w=1.7, l=4.0):
@@ -41,7 +43,7 @@ def match_greedy(dets, gts, threshold, difficulty=None):
     from the matching kernel `evaluate` runs on the 3D IoU matrix."""
     scores = np.array([d.score for d in dets])
     iou = iou_matrix([d.box for d in dets], [gt.box for gt in gts], "3d")
-    valid = np.array([[gt.passes(difficulty) for gt in gts]], dtype=bool)
+    valid = difficulty_mask(gt_arrays(gts)[1], (difficulty,))
     return match_one_scene(scores, iou, [threshold], valid)[0, 0]
 
 
@@ -186,15 +188,15 @@ def assert_evaluate_matches_reference(dets, gts, thresholds, diffs):
             for thr in thresholds:
                 flags, scores, num_gt = [], [], 0
                 for sid in sorted(gts):
-                    valid = np.array([gt.passes(diff) for gt in gts[sid]], dtype=bool)
+                    valid = difficulty_mask(gt_arrays(gts[sid])[1], (diff,))[0]
                     num_gt += int(valid.sum())
                     s = np.array([d.score for d in dets[sid]])
                     labels = reference_match(s, ious[sid], thr, valid)
                     flags += (labels[labels != IGNORED] == TP).tolist()
                     scores += s[labels != IGNORED].tolist()
-                expect = average_precision(flags, scores, num_gt)
-                assert out[(mode, thr, diff)].pr_curve == expect.pr_curve
-                assert out[(mode, thr, diff)].ap == expect.ap
+                ap, interp = reference_average_precision(flags, scores, num_gt)
+                assert [p for _, p in out[(mode, thr, diff)].pr_curve] == interp
+                assert out[(mode, thr, diff)].ap == ap
 
 
 @st.composite
@@ -267,6 +269,96 @@ class TestAveragePrecision:
         assert len(res.pr_curve) == 40
         assert res.pr_curve[0][0] == pytest.approx(1 / 40)
         assert res.pr_curve[-1][0] == pytest.approx(1.0)
+
+
+@st.composite
+def ap_columns(draw):
+    """One pool of detections with tied scores and columns of labels over
+    it, among them columns where every detection is ignored."""
+    n = draw(st.integers(0, 25))
+    scores = np.array(draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.5000000000000001, 0.9]) | st.floats(0, 1),
+                                    min_size=n, max_size=n)))
+    label = st.sampled_from([TP, FP, IGNORED])
+    columns = [draw(st.lists(label, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 6)))]
+    columns.append([IGNORED] * n)
+    labels = np.array(columns, dtype=int).reshape(len(columns), n)
+    extra = np.array(draw(st.lists(st.integers(0, 4), min_size=len(columns), max_size=len(columns))))
+    num_gt = np.maximum((labels == TP).sum(axis=1) + extra, 1)
+    return scores, labels, num_gt
+
+
+class TestBatchedAp:
+    @given(ap_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_column_reference(self, inst):
+        # each column's curve equals the reference run on its kept
+        # detections alone, which sorts them on their own
+        scores, labels, num_gt = inst
+        interp = _interp_precisions(scores, labels == TP, labels != IGNORED, num_gt)
+        for column, n, got in zip(labels, num_gt, interp):
+            keep = column != IGNORED
+            ap, expect = reference_average_precision(column[keep] == TP, scores[keep], int(n))
+            assert got.tolist() == expect
+            assert average_precision(column[keep] == TP, scores[keep], int(n)).ap == ap
+
+    def test_all_tied_and_no_kept_detection(self):
+        scores = np.array([0.5, 0.5, 0.5, 0.5])
+        labels = np.array([[TP, FP, TP, IGNORED], [IGNORED] * 4, [TP, TP, FP, FP]])
+        interp = _interp_precisions(scores, labels == TP, labels != IGNORED, np.array([2, 3, 4]))
+        # one operating point per column: all tied detections enter at once
+        assert interp[0].tolist() == [2 / 3] * 40
+        assert interp[1].tolist() == [0.0] * 40
+        assert interp[2].tolist() == [0.5] * 20 + [0.0] * 20
+
+    def test_empty_pool_and_zero_ground_truths(self):
+        assert _interp_precisions(np.zeros(0), np.zeros((2, 0), bool), np.zeros((2, 0), bool),
+                                  np.array([1, 5])).tolist() == [[0.0] * 40] * 2
+        with pytest.raises(InputError, match="without ground truths"):
+            _interp_precisions(np.array([0.5]), np.array([[True], [False]]), np.ones((2, 1), bool), np.array([1, 0]))
+
+
+@st.composite
+def coincident_scenes(draw):
+    """Scenes of ground truths and detections on them, some sharing a
+    ground truth's (cx, cy) and differing only in cz and h, with tied
+    scores and difficulty metadata."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    gts, dets = {}, {}
+    for sid in range(draw(st.integers(1, 4))):
+        gts[sid], dets[sid] = [], []
+        for i in range(draw(st.integers(0, 4))):
+            gt = car_at(6.0 * i + draw(st.floats(-0.1, 0.1, **finite)), draw(st.floats(-0.1, 0.1, **finite)),
+                        yaw=draw(st.floats(-3.2, 3.2, **finite)), cz=draw(st.floats(0.5, 1.0, **finite)),
+                        w=draw(st.sampled_from([1.6, 1.7, 1.8])))
+            gts[sid].append(GroundTruth(gt, bbox_height=draw(st.sampled_from([20.0, 30.0, 60.0])),
+                                        occlusion=draw(st.integers(0, 3)),
+                                        truncation=draw(st.sampled_from([0.1, 0.4, 0.6]))))
+            for _ in range(draw(st.integers(0, 3))):
+                kind = draw(st.sampled_from(["coincident", "shifted"]))
+                cz, h = gt.cz + draw(st.sampled_from([0.0, 0.1, -0.1])), gt.h * draw(st.sampled_from([1.0, 0.9, 1.1]))
+                if kind == "coincident":
+                    box = Box3D(gt.cx, gt.cy, cz, h, draw(st.sampled_from([1.6, 1.7, 1.8])), gt.l, gt.yaw)
+                else:
+                    shift = st.floats(-0.5, 0.5, **finite)
+                    box = Box3D(gt.cx + draw(shift), gt.cy + draw(shift), cz, h, gt.w, gt.l,
+                                gt.yaw + draw(st.floats(-0.2, 0.2, **finite)))
+                dets[sid].append(Detection(box, draw(st.sampled_from([0.2, 0.5, 0.8]))))
+    return dets, gts
+
+
+class TestModesTogether:
+    @given(coincident_scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_both_modes_equal_one_call_per_mode(self, scenes):
+        dets, gts = scenes
+        assume(any(gts.values()))
+        kw = dict(thresholds=(0.5, 0.7, 0.9), difficulties=("all", "easy", "moderate", "hard"))
+        meta = gt_arrays([gt for scene in gts.values() for gt in scene])[1]
+        kw["difficulties"] = tuple(d for d in kw["difficulties"] if difficulty_mask(meta, (d,)).any())
+        both = evaluate(dets, gts, modes=("3d", "bev"), **kw)
+        for mode in ("3d", "bev"):
+            for key, res in evaluate(dets, gts, modes=(mode,), **kw).items():
+                assert repr(both[key]) == repr(res)
 
 
 class TestRelativeGain:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxebm import geometry
-from boxebm.geometry import Box3D, box_rows, iou_3d, iou_matrix, pair_iou
+from boxebm.geometry import Box3D, box_rows, iou_3d, iou_matrix, pair_iou, pair_ious
 from helpers import (MERGE_EPS, OLD_MERGE_EPS, aligned_bev_iou, mc_bev_iou, random_bev_box, reference_clip,
                      reference_iou)
 
@@ -173,9 +173,13 @@ class TestIou3d:
 def related_box(draw, a: Box3D) -> Box3D:
     """A box in one of the relations to `a` that stress the far-pair test and the clip."""
     kind = draw(st.sampled_from(["random", "identical", "two_pi", "edge", "circle", "corner", "stacked",
-                                 "nested", "on_edge", "through_corner", "collinear", "quarter"]))
+                                 "nested", "on_edge", "through_corner", "collinear", "quarter", "coincident"]))
     if kind == "random":
         return draw(box3d_st)
+    if kind == "coincident":  # same (cx, cy): the 3D and BEV keys can order the pair differently
+        b = draw(box3d_st)
+        return Box3D(a.cx, a.cy, draw(st.sampled_from([a.cz, b.cz])), draw(st.sampled_from([a.h, b.h])),
+                     draw(st.sampled_from([a.w, b.w])), draw(st.sampled_from([a.l, b.l])), b.yaw)
     if kind == "identical":
         return a
     if kind == "two_pi":
@@ -235,10 +239,15 @@ def box_lists(draw):
 
 
 def assert_equals_reference(a_boxes, b_boxes, merge_eps=MERGE_EPS):
-    """`iou_matrix`, `iou_3d` and `pair_iou` over the swapped pairs in
-    reverse order equal the scalar reference clip bit for bit."""
+    """`iou_matrix`, `iou_3d`, `pair_iou` over the swapped pairs in reverse
+    order, and `pair_ious` in both modes at once equal the scalar reference
+    clip bit for bit."""
+    a_rows, b_rows = np.repeat(box_rows(a_boxes), len(b_boxes), axis=0), np.tile(box_rows(b_boxes), (len(a_boxes), 1))
+    both = {modes: pair_ious(a_rows, b_rows, modes) for modes in (("3d", "bev"), ("bev", "3d"))}
     for mode in ("3d", "bev"):
         expect = np.array([[reference_iou(a, b, mode, merge_eps) for b in b_boxes] for a in a_boxes])
+        for modes, got in both.items():
+            assert got[modes.index(mode)].tobytes() == expect.tobytes(), (mode, modes)
         got = iou_matrix(a_boxes, b_boxes, mode)
         assert got.shape == (len(a_boxes), len(b_boxes))
         assert got.tobytes() == expect.tobytes(), mode
