@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +47,8 @@ _DETS_DIR = "dets"  # subdirectory of a `refine --out` holding the KITTI result 
 
 def _write_csv(path: Path, comment: str, header: list[str], rows):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(f"# {comment}\n")
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(map(str, row)) + "\n")
+    lines = [f"# {comment}", ",".join(header), *(",".join(map(str, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _load_params_checked(checkpoint: Path, cfg: RunConfig, channels: int):
@@ -78,7 +76,7 @@ def _open_split(args) -> FileScenes:
     return scenes
 
 
-def cmd_synth_gen(cfg: RunConfig, args) -> int:
+def cmd_synth_gen(cfg: RunConfig, args, resolved: str) -> int:
     _require(args, "out")
     train_ids, val_ids = split_indices(cfg.n_scenes)
     n_boxes = 0
@@ -99,7 +97,7 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def cmd_train(cfg: RunConfig, args, resolved: str) -> int:
     _require(args, "dataset", "out")
     noise = cfg.noise.build()
     out = Path(args.out)
@@ -117,14 +115,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
         on_epoch=lambda p, _epoch: save_checkpoint(p, ckpt),
     )
     save_checkpoint(trained, ckpt)
-    _write_csv(out / "loss.csv", resolved_line(cfg),
+    _write_csv(out / "loss.csv", resolved,
                ["epoch", "step", "loss", "seconds"],
                [(r.epoch, r.step, r.loss, r.seconds) for r in records])
     print(f"steps={len(records)} final_loss={records[-1].loss:.6f} checkpoint={ckpt}")
     return 0
 
 
-def cmd_refine(cfg: RunConfig, args) -> int:
+def cmd_refine(cfg: RunConfig, args, resolved: str) -> int:
     _require(args, "dataset", "checkpoint", "out")
     out = Path(args.out)
     scenes = _open_split(args)
@@ -135,7 +133,7 @@ def cmd_refine(cfg: RunConfig, args) -> int:
         (out / _DETS_DIR / f"{sid:06d}.txt").write_text(
             write_result_file([from_box3d(d.box, score=d.score) for d in dets]))
     if args.traces:
-        _write_csv(out / "traces.csv", resolved_line(cfg),
+        _write_csv(out / "traces.csv", resolved,
                    ["scene_id", "det_index", "iteration", "current_value",
                     "proposal_value", "accepted", "step_size"],
                    [(sid, di, r.iteration, r.current_value, r.proposal_value, int(r.accepted), r.step_size)
@@ -156,45 +154,80 @@ def _read_kitti_dir(root: Path, check, convert) -> dict:
     """Arrays of each KITTI file under `root`, by scene id in name order.
 
     A file's name is its id in decimal digits, and two names for one id are
-    an input error. So is a non-DontCare box of non-positive size, or a line
-    that `check(types, values)` rejects. Every input error raised while
-    reading a file names that file. The files' non-DontCare lines are then
-    converted together, `convert(values)` of their values (N, 15), and
-    split into scenes.
+    an input error. So is a line that does not parse, a non-DontCare box of
+    non-positive size, or a line that `check(care, values)` rejects, given
+    lines' values (N, 15) and which of them are not DontCare (N,). Files
+    are taken in name order, each parsed, then size-checked, then checked,
+    and the first error, which names its file, is raised. The files'
+    non-DontCare lines are then converted together, `convert(values)` of
+    their values, and split into scenes.
     """
     files = {}
     for path in sorted(Path(root).glob("*.txt")):
-        if not (path.stem.isascii() and path.stem.isdigit()):
+        stem = path.stem
+        if not (stem.isascii() and stem.isdigit()):
             raise InputError(f"{path}: KITTI file names must be numeric scene ids")
-        sid = int(path.stem)
+        sid = int(stem)
         if sid in files:
             raise InputError(f"{files[sid]} and {path} are both scene {sid}")
         files[sid] = path
-    kept, counts = [], []
+    types, values, ends = [], [], []
+    unread = None  # the error of the first file that could not be read or parsed
     for path in files.values():
         try:
-            types, values = parse_label_lines(path.read_text())
-            for n, (kind, v) in enumerate(zip(types, values), start=1):
-                if kind != DONT_CARE and not (v[_H] > 0 and v[_W] > 0 and v[_L] > 0):
-                    raise InputError(f"label {n} has a non-positive dimension (h={v[_H]} w={v[_W]} l={v[_L]})")
-            check(types, values)
+            file_types, file_values = parse_label_lines(path.read_text())
         except (InputError, UnicodeDecodeError) as exc:
-            raise InputError(f"{path}: {exc}") from None
-        rows = [v for kind, v in zip(types, values) if kind != DONT_CARE]
-        kept += rows
-        counts.append(len(rows))
-    arrays = convert(np.array(kept, dtype=float).reshape(len(kept), len(COLUMN)))
-    bounds = np.cumsum(counts)[:-1]
-    return dict(zip(files, zip(*(np.split(a, bounds) for a in arrays))))
+            unread = InputError(f"{path}: {exc}")
+            break
+        except OSError as exc:
+            unread = exc
+            break
+        types += file_types
+        values += file_values
+        ends.append(len(types))
+    values = np.array(values, dtype=float).reshape(len(types), len(COLUMN))
+    care = np.fromiter(map(DONT_CARE.__ne__, types), bool, len(types))
+    # Every check is per line, so one pass over all parsed lines finds
+    # whether any fails; only then do the files run one by one, for the
+    # first file's first error.
+    try:
+        _check_lines(care, values, check)
+    except InputError:
+        for path, start, end in zip(files.values(), [0, *ends], ends):
+            try:
+                _check_lines(care[start:end], values[start:end], check)
+            except InputError as exc:
+                raise InputError(f"{path}: {exc}") from None
+    if unread is not None:
+        raise unread
+    bounds = np.concatenate([[0], np.cumsum(care)])[ends[:-1]]
+    return dict(zip(files, zip(*(np.split(a, bounds) for a in convert(values[care])))))
 
 
-def _check_ground_truths(types, values):
+def _check_lines(care, values, check):
+    """Raise the first error of lines (`_read_kitti_dir`): a non-positive
+    size on any line, else the first error `check` raises."""
+    dims = values[:, [_H, _W, _L]]
+    n = _first(care & ~(dims > 0.0).all(axis=1))
+    if n is not None:
+        h, w, l = dims[n].tolist()
+        raise InputError(f"label {n + 1} has a non-positive dimension (h={h} w={w} l={l})")
+    check(care, values)
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first true entry of `bad`, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _check_ground_truths(care, values):
     """The 2D box height of every label must be finite and >= 0 (a finite,
     ordered box can still overflow to inf)."""
-    for kind, v in zip(types, values):
-        height = v[_BOTTOM] - v[_TOP]
-        if kind != DONT_CARE and not 0.0 <= height < math.inf:
-            raise InputError(f"bbox_height must be finite and >= 0, got {height}")
+    with np.errstate(over="ignore"):  # an overflow is the error reported below
+        height = values[:, _BOTTOM] - values[:, _TOP]
+    n = _first(care & ~((0.0 <= height) & (height < math.inf)))
+    if n is not None:
+        raise InputError(f"bbox_height must be finite and >= 0, got {height[n].item()}")
 
 
 def _ground_truths(values) -> tuple:
@@ -206,13 +239,15 @@ def _ground_truths(values) -> tuple:
     return world_rows(values), np.stack([height, occlusion, truncation], axis=1)
 
 
-def _check_detections(types, values):
+def _check_detections(care, values):
     """Every result line must have a score and must not be DontCare."""
-    for n, (kind, v) in enumerate(zip(types, values), start=1):
-        if math.isnan(v[_SCORE]):
-            raise InputError(f"label {n} is a detection without a score")
-        if kind == DONT_CARE:
-            raise InputError(f"cannot convert non-evaluable label of type {kind!r}")
+    unscored = np.isnan(values[:, _SCORE])
+    n = _first(unscored | ~care)
+    if n is None:
+        return
+    if unscored[n]:
+        raise InputError(f"label {n + 1} is a detection without a score")
+    raise InputError(f"cannot convert non-evaluable label of type {DONT_CARE!r}")
 
 
 def _detections(values) -> tuple:
@@ -220,7 +255,7 @@ def _detections(values) -> tuple:
     return world_rows(values), values[:, _SCORE]
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(cfg: RunConfig, args, resolved: str) -> int:
     _require(args, "out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,7 +293,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     ap_rows = []
     pr_rows = []
     recalls_header = [x for i in range(1, 41) for x in (f"recall_{i:02d}", f"precision_{i:02d}")]
-    recall_text = [str(r) for r in RECALL_POSITIONS.tolist()]  # every curve's recall column, formatted once
+    # a curve's text is its 40 "recall,precision" pairs; the recalls are every curve's, so formatted once
+    curve_format = ",".join(f"{r},{{}}" for r in RECALL_POSITIONS.tolist())
     for mode in cfg.eval.modes:
         for thr in cfg.eval.thresholds:
             for diff in cfg.eval.difficulties:
@@ -270,32 +306,32 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                 for source, res in (("initial", res_initial), ("refined", res_refined)):
                     if res is None:
                         continue
-                    flat = [x for r, (_, p) in zip(recall_text, res[key].pr_curve) for x in (r, p)]
-                    pr_rows.append((mode, thr, diff, source, res[key].ap, *flat))
-    _write_csv(out / "ap.csv", resolved_line(cfg),
+                    curve = curve_format.format(*map(itemgetter(1), res[key].pr_curve))
+                    pr_rows.append((mode, thr, diff, source, res[key].ap, curve))
+    _write_csv(out / "ap.csv", resolved,
                ["mode", "threshold", "difficulty", "ap_initial", "ap_refined", "rel_improvement"],
                ap_rows)
-    _write_csv(out / "pr.csv", resolved_line(cfg),
+    _write_csv(out / "pr.csv", resolved,
                ["mode", "threshold", "difficulty", "source", "ap", *recalls_header],
                pr_rows)
     print(f"wrote {out / 'ap.csv'} ({len(ap_rows)} rows)")
     return 0
 
 
-def cmd_sweep_t(cfg: RunConfig, args) -> int:
+def cmd_sweep_t(cfg: RunConfig, args, resolved: str) -> int:
     _require(args, "dataset", "checkpoint", "out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenes = _open_split(args)
     params = _load_params_checked(Path(args.checkpoint), cfg, scenes[0].grid.channels)
     rows = sweep_t(params, scenes, cfg.pool, cfg.refine, cfg.sweep.t_values, cfg.eval.thresholds)
-    comment = resolved_line(cfg) + " | mean_ap averages 3D AP over eval.thresholds; throughput times the refinement step only"
+    comment = resolved + " | mean_ap averages 3D AP over eval.thresholds; throughput times the refinement step only"
     _write_csv(out / "sweep_t.csv", comment, ["T", "mean_ap_3d", "scenes_per_sec"], rows)
     print(f"wrote {out / 'sweep_t.csv'} ({len(rows)} rows)")
     return 0
 
 
-def cmd_angle_scan(cfg: RunConfig, args) -> int:
+def cmd_angle_scan(cfg: RunConfig, args, resolved: str) -> int:
     _require(args, "dataset", "checkpoint", "out", "scene-id")
     out = Path(args.out)
     scenes = FileScenes(args.dataset)
@@ -311,7 +347,7 @@ def cmd_angle_scan(cfg: RunConfig, args) -> int:
     params = _load_params_checked(Path(args.checkpoint), cfg, scene.grid.channels)
     deltas, values = heading_scan(params, scene.grid, scene.initial_dets[args.det_index].box.as_array(),
                                   cfg.pool, cfg.angle_points)
-    _write_csv(out / "angle_scan.csv", resolved_line(cfg), ["delta_phi", "energy"],
+    _write_csv(out / "angle_scan.csv", resolved, ["delta_phi", "energy"],
                list(zip(deltas.tolist(), values.tolist())))
     print(f"wrote {out / 'angle_scan.csv'} ({len(deltas)} rows)")
     return 0
@@ -327,11 +363,15 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given a `command`, only that subcommand is built;
+    the metavar then spells out argparse's own listing of every command, so
+    the usage line of a later argparse error is unchanged."""
     parser = argparse.ArgumentParser(prog="boxebm", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -371,13 +411,15 @@ def load_run_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     if args.split is None:
         args.split = _SPLIT_DEFAULTS.get(args.command)
     try:
         cfg = load_run_config(args)
-        print(f"# {resolved_line(cfg)}")
-        return COMMANDS[args.command](cfg, args)
+        resolved = resolved_line(cfg)  # printed, and the comment line of every CSV the command writes
+        print(f"# {resolved}")
+        return COMMANDS[args.command](cfg, args, resolved)
     except tuple(cls for cls, _ in ERROR_CATEGORIES) as exc:
         category = next(category for cls, category in ERROR_CATEGORIES if isinstance(exc, cls))
         print(f"error:{category}: {exc}", file=sys.stderr)

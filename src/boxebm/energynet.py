@@ -173,13 +173,16 @@ def forward_batch(params: EnergyNetParams, grid: FeatureGrid, boxes: np.ndarray,
     enc_h, rec_h = _enc_forward(params.enc_h, boxes[:, 3], "enc_h", per_row)
     h5 = np.concatenate([pooled, enc_cz, enc_h], axis=1)
     w1, w2, w3 = params.head
-    z1 = _matmul(h5, w1.W.T, per_row) + w1.b[None, :]
+    z1 = _matmul(h5, w1.W.T, per_row)
+    z1 += w1.b
     _check_finite(z1, "head.0")
     a1 = np.maximum(z1, 0.0)
-    z2 = _matmul(a1, w2.W.T, per_row) + w2.b[None, :]
+    z2 = _matmul(a1, w2.W.T, per_row)
+    z2 += w2.b
     _check_finite(z2, "head.1")
     a2 = np.maximum(z2, 0.0)
-    values = _matmul(a2, w3.W[0], per_row) + w3.b[0]
+    values = _matmul(a2, w3.W[0], per_row)
+    values += w3.b[0]
     _check_finite(values, "head.2")
     cache = dict(head=dict(x=h5, z1=z1, a1=a1, z2=z2, a2=a2), enc_cz=rec_cz, enc_h=rec_h,
                  pooled_jac=pooled_jac, per_row=per_row)
@@ -197,28 +200,28 @@ def _backward(params: EnergyNetParams, cache: dict, delta: np.ndarray, grads=Non
     e = params.dims.enc_dim
     w1, w2, w3 = params.head
     head = cache["head"]
-    da2 = delta[:, None] * w3.W[0][None, :]
-    dz2 = da2 * (head["z2"] > 0.0)
-    da1 = _matmul(dz2, w2.W, per_row)
-    dz1 = da1 * (head["z1"] > 0.0)
+    dz2 = delta[:, None] * w3.W[0][None, :]
+    dz2 *= head["z2"] > 0.0
+    dz1 = _matmul(dz2, w2.W, per_row)
+    dz1 *= head["z1"] > 0.0
     if grads is None:
         dh5 = _matmul(dz1, w1.W, per_row)
         dpooled, denc = dh5[:, :n4], dh5[:, n4:]
     else:
         dpooled, denc = None, _matmul(dz1, w1.W[:, n4:], per_row)
         g1, g2, g3 = grads.head
-        g3.W[0] = delta @ head["a2"]
+        np.matmul(delta, head["a2"], out=g3.W[0])
         g3.b[0] = delta.sum()
-        g2.W[:] = dz2.T @ head["a1"]
+        np.matmul(dz2.T, head["a1"], out=g2.W)
         g2.b[:] = dz2.sum(axis=0)
-        g1.W[:] = dz1.T @ head["x"]
+        np.matmul(dz1.T, head["x"], out=g1.W)
         g1.b[:] = dz1.sum(axis=0)
     dx = []
     for name, dout in (("enc_cz", denc[:, :e]), ("enc_h", denc[:, e:])):
         layers, rec = getattr(params, name), cache[name]
         dz2 = dout * (rec["z2"] > 0.0)
-        da1 = _matmul(dz2, layers[1].W, per_row)
-        dz1 = da1 * (rec["z1"] > 0.0)
+        dz1 = _matmul(dz2, layers[1].W, per_row)
+        dz1 *= rec["z1"] > 0.0
         dx.append(_matmul(dz1, layers[0].W[:, 0], per_row))
         if grads is not None:
             g1, g2 = getattr(grads, name)

@@ -7,10 +7,13 @@ and the exact references (`reference_iou`, `reference_match_scene`,
 matcher and the per-column AP that the batched kernels replaced, kept
 verbatim so the kernels can be checked bit for bit. The clip's vertex
 merge distance, the one deliberate change, is a parameter.
+`reference_build_parser` is the CLI parser with every subcommand built,
+kept verbatim so that what argparse prints can be checked byte for byte.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
@@ -195,6 +198,37 @@ def reference_average_precision(tp_flags, scores, num_gt: int) -> tuple:
     best_from = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
     interp = best_from[np.searchsorted(recalls, RECALL_POSITIONS - 1e-12, side="left")]
     return math.fsum(interp.tolist()) / len(RECALL_POSITIONS), interp.tolist()
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser with all six subcommands, as every call once built it."""
+    from boxebm import cli
+    from boxebm.cli import COMMANDS
+
+    parser = argparse.ArgumentParser(prog="boxebm", description=cli.__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="key-value config file")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
+        p.add_argument("--seed", type=int, help="override the top-level seed")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--dataset", help="scene dataset directory")
+        p.add_argument("--checkpoint", help="energy-net checkpoint file")
+        p.add_argument("--split", default=None, help="dataset split to use")
+        if name == "train":
+            p.add_argument("--resume", help="checkpoint to continue training from")
+        if name == "refine":
+            p.add_argument("--traces", action="store_true", help="dump per-detection traces")
+        if name == "eval":
+            p.add_argument("--dets", help="directory of KITTI result files to evaluate")
+            p.add_argument("--kitti-gt", dest="kitti_gt", help="directory of KITTI label files as ground truth")
+        if name == "angle-scan":
+            p.add_argument("--scene-id", dest="scene_id", type=int)
+            p.add_argument("--det-index", dest="det_index", type=int, default=0)
+    return parser
 
 
 def reference_pool_jacobian(grid, boxes: np.ndarray, cfg) -> np.ndarray:

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxebm.cli import main
+from boxebm.cli import COMMANDS, main
 from boxebm.config import build_run_config, parse_config_file, resolved_line
 from boxebm.errors import ConfigError
+from helpers import reference_build_parser
 
 # tiny but fully functional pipeline configuration
 TINY = [
@@ -408,6 +409,47 @@ class TestEvalKittiInputs:
         assert capsys.readouterr().err.startswith("error:input:")
 
 
+class TestParser:
+    """A call builds only the parser of the command it names. What argparse
+    prints, and the exit code, equal those of the parser with every command
+    built (`reference_build_parser`)."""
+
+    @staticmethod
+    def outcome(capsys, call):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--help"],
+        ["evaluate", "--out", "x"],  # no such command
+        ["Eval"],
+        ["--out", "x", "eval"],
+        *([name, "--help"] for name in COMMANDS),
+        # argparse reports these with the top-level usage line, which names every command
+        ["eval", "--out", "x", "--bogus"],
+        ["train", "--dets", "d"],
+        ["refine", "stray"],
+        # and these with the subcommand's usage line
+        ["eval", "--dets"],
+        ["angle-scan", "--out", "x", "--scene-id"],
+        ["angle-scan", "--scene-id", "seven"],
+        ["sweep-T", "--seed", "1.5"],
+    ], ids=lambda argv: "_".join(argv) or "no-arguments")
+    def test_output_equals_full_parser(self, capsys, argv):
+        want = self.outcome(capsys, lambda: reference_build_parser().parse_args(argv))
+        assert self.outcome(capsys, lambda: main(argv)) == want
+
+    def test_arguments_from_sys_argv(self, capsys, monkeypatch):
+        argv = ["eval", "--out", "x", "--bogus"]
+        want = self.outcome(capsys, lambda: reference_build_parser().parse_args(argv))
+        monkeypatch.setattr(sys, "argv", ["boxebm", *argv])
+        assert self.outcome(capsys, main) == want
+        assert "{synth-gen,train,refine,eval,sweep-T,angle-scan}" in want[2]
+
+
 class TestErrorReporting:
     def test_missing_required_flag(self, capsys):
         assert run(["train", "--out", "/tmp/nowhere_out"]) == 1
@@ -664,6 +706,40 @@ class TestErrorPaths:
         files = {"gt": KITTI_CAR, "dets": KITTI_CAR + " 0.5", where: text}
         argv = self.kitti_dirs(tmp_path, {"000000.txt": files["gt"]}, {"000000.txt": files["dets"]})
         fails(capsys, argv, "input", f"{tmp_path / where / '000000.txt'}: {needle}")
+
+    OVERFLOW = KITTI_CAR.replace("173.33", "-1e308").replace("200.12", "1e308")  # bbox height inf
+    DONT_CARE = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10"
+
+    @pytest.mark.parametrize("gt_files,det_files,needle", [
+        # an earlier file's check error beats a later file's parse error, and the reverse
+        ({"000000.txt": OVERFLOW, "000001.txt": KITTI_CAR + "\nCar 0 0"}, {},
+         "gt/000000.txt: bbox_height must be finite and >= 0, got inf"),
+        ({"000000.txt": KITTI_CAR + "\nCar 0 0", "000001.txt": OVERFLOW}, {},
+         "gt/000000.txt: line 2: expected 15 or 16 fields, got 3"),
+        # line 2 lacks a score, line 3 has a non-positive size: the size check runs first
+        ({}, {"000000.txt": "\n".join([KITTI_CAR + " 0.5", KITTI_CAR,
+                                        KITTI_CAR.replace("3.64", "-3.64") + " 0.5"])},
+         "dets/000000.txt: label 3 has a non-positive dimension (h=1.65 w=1.67 l=-3.64)"),
+        ({}, {"000000.txt": "\n".join([DONT_CARE + " 0.5", KITTI_CAR.replace("1.65", "0") + " 0.5"])},
+         "dets/000000.txt: label 2 has a non-positive dimension (h=0.0 w=1.67 l=3.64)"),
+        # a non-positive size beats a 2D box height overflow on a later or an earlier line
+        ({"000000.txt": "\n".join([KITTI_CAR, KITTI_CAR.replace("1.67", "0"), OVERFLOW])}, {},
+         "gt/000000.txt: label 2 has a non-positive dimension (h=1.65 w=0.0 l=3.64)"),
+        ({"000000.txt": "\n".join([KITTI_CAR, OVERFLOW, KITTI_CAR.replace("1.67", "0")])}, {},
+         "gt/000000.txt: label 3 has a non-positive dimension (h=1.65 w=0.0 l=3.64)"),
+    ], ids=["check-then-parse", "parse-then-check", "score-then-size", "dontcare-then-size",
+            "size-then-overflow", "overflow-then-size"])
+    def test_kitti_first_error_wins(self, tmp_path, capsys, gt_files, det_files, needle):
+        argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR, "000001.txt": KITTI_CAR, **gt_files},
+                               {"000000.txt": KITTI_CAR + " 0.5", "000001.txt": KITTI_CAR + " 0.5", **det_files})
+        fails(capsys, argv, "input", f"{tmp_path}/{needle}")
+
+    def test_kitti_later_file_unreadable(self, tmp_path, capsys):
+        argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR}, {"000000.txt": KITTI_CAR + " 0.5"})
+        (tmp_path / "gt" / "000001.txt").mkdir()
+        fails(capsys, argv, "io", "000001.txt")
+        (tmp_path / "gt" / "000000.txt").write_text(self.OVERFLOW + "\n")  # an earlier file's error wins
+        fails(capsys, argv, "input", f"{tmp_path / 'gt' / '000000.txt'}: bbox_height")
 
     def test_kitti_file_not_text(self, tmp_path, capsys):
         argv = self.kitti_dirs(tmp_path, {"000000.txt": KITTI_CAR}, {"000000.txt": KITTI_CAR + " 0.5"})
